@@ -386,15 +386,6 @@ def cmd_bench(args) -> int:
         for phase, secs in summary["profile"].items():
             print(f"  {phase:16s} {secs:8.2f}s  "
                   f"{100 * secs / total:5.1f}%")
-        gangs = summary.get("gang_stats", {})
-        if gangs.get("gangs"):
-            lanes = gangs.get("ganged_lanes", 0)
-            singles = gangs.get("singleton_lanes", 0)
-            share = 100 * lanes / ((lanes + singles) or 1)
-            print(f"episode gangs: {gangs['gangs']} gangs covering "
-                  f"{lanes} lanes ({share:.0f}% of episode lanes, "
-                  f"max gang {gangs.get('max_gang', 0)}); "
-                  f"{singles} singletons ran scalar")
     output = args.output
     if not output:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
@@ -631,11 +622,11 @@ def cmd_fuzz(args) -> int:
     machine mode, hardened; ``--engines reference,batch --no-harden``
     instead diffs the vectorized batch engine's vector path against the
     reference, and ``--gang`` adds the dmp-gang band (each program
-    fanned across machine sizings as one batch group, driving the
-    ganged-episode kernels).  Exit codes: 0 — every seed clean; 1 — at
-    least one
-    finding (its JSON report and, with ``--minimize --corpus-dir``, its
-    corpus reproducer carry the evidence).
+    fanned across machine sizings as one many-lane batch group whose
+    dpred episodes run on the vector path).  Exit codes: 0 — every
+    seed clean; 1 — at least one finding (its JSON report and, with
+    ``--minimize --corpus-dir``, its corpus reproducer carry the
+    evidence).
     """
     import json as json_mod
 
@@ -821,10 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "scalar fallback)")
     p_fuzz.add_argument("--gang", action="store_true",
                         help="add the dmp-gang band: fan each program "
-                             "across machine sizings as one batch group "
-                             "so dpred episodes run through the "
-                             "ganged-episode vector kernels, every lane "
-                             "diffed against the reference engine")
+                             "across machine sizings as one many-lane "
+                             "batch group so dpred episodes run on the "
+                             "vector path, every lane diffed against "
+                             "the reference engine")
     p_fuzz.add_argument("--iterations", type=int, default=120,
                         help="outer-loop iterations per generated program")
     p_fuzz.add_argument("--max-gadgets", type=int, default=4,
@@ -869,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "reference)")
     p_bench.add_argument("--profile", action="store_true",
                          help="print the batch sweeps' per-phase wall-"
-                              "time attribution and gang statistics")
+                              "time attribution")
     p_bench.add_argument("--no-batch", action="store_true",
                          help="skip the lockstep batch-engine sweep "
                               "cells")

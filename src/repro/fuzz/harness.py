@@ -68,18 +68,19 @@ FUZZ_MODES = (
 #: Engines compared per mode.
 _ENGINES = ("reference", "fast")
 
-#: The ganged-episode band: one fuzz program fanned across machine
-#: sizings as a *single* batch-engine group.  Deliberately not part of
-#: :data:`FUZZ_MODES` — single-cell groups can only exercise the
-#: engine's singleton episode path, and hardened cells take the scalar
-#: fallback entirely — so the unhardened batch sweep opts in with
-#: ``modes=FUZZ_MODES + (GANG_MODE,)``.
+#: The many-lane band: one fuzz program fanned across machine sizings
+#: as a *single* batch-engine group.  Deliberately not part of
+#: :data:`FUZZ_MODES` — single-cell groups never share state between
+#: lanes, and hardened cells take the scalar fallback entirely — so the
+#: unhardened batch sweep opts in with ``modes=FUZZ_MODES +
+#: (GANG_MODE,)``.
 GANG_MODE = "dmp-gang"
 
-#: Machine sizings fanned per spec for the gang band.  Every lane
-#: shares the spec's program and trace, so each dpred episode is
-#: entered by the whole group at the same record with the same
-#: (trace, signature) key — many-lane gangs, not singleton replays.
+#: Machine sizings fanned per spec for the band.  Every lane shares the
+#: spec's program and trace, so the whole group enters each dpred
+#: episode at the same record and the lanes share structural
+#: wrong-path walks and episode-signature epochs until their outcomes
+#: diverge.
 GANG_SIZINGS = tuple(
     (width, depth, rob, retire)
     for width in (4, 8)
@@ -275,11 +276,11 @@ def _check_gang(ctx: FuzzProgram, spec: FuzzSpec) -> List[Finding]:
 
     All lanes carry the same program, trace and diverge hints, so every
     dpred episode is reached by the whole group at the same trace record
-    and the engine's ganged (trace, signature) kernels — not the
-    singleton path — produce the timing.  Each lane's SimStats is then
-    diffed against a reference-engine run of the same sizing.  Without
-    numpy the engine has no vector path to gang and the band is a
-    no-op."""
+    and the lanes run their episodes on the vector path while sharing
+    the group's structural walk cache and predictor epochs.  Each lane's
+    SimStats is then diffed against a reference-engine run of the same
+    sizing.  Without numpy the engine has no vector path and the band is
+    a no-op."""
     from repro.uarch.batch import BatchCell, batch_supported, run_batch
 
     if not batch_supported():
@@ -341,7 +342,7 @@ def _check_gang(ctx: FuzzProgram, spec: FuzzSpec) -> List[Finding]:
                     seed=spec.seed, kind="divergence", mode=GANG_MODE,
                     engine="both",
                     detail=(
-                        f"ganged batch lane ({lane}) disagrees with "
+                        f"batch lane ({lane}) disagrees with "
                         f"reference on {len(diff)} SimStats field(s)"
                     ),
                     stat_diff=diff,
@@ -387,10 +388,10 @@ def check_spec(
     configs = mode_configs()
     for mode in modes:
         if mode == GANG_MODE:
-            # The gang band runs its own group-shaped check: many batch
-            # lanes in one run_batch call, each diffed against the
+            # The many-lane band runs its own group-shaped check: many
+            # batch lanes in one run_batch call, each diffed against the
             # reference engine.  ``harden`` does not apply — a hardened
-            # cell would take the scalar fallback and gang nothing.
+            # cell would take the scalar fallback, off the vector path.
             findings.extend(_check_gang(ctx, spec))
             continue
         base = configs[mode]

