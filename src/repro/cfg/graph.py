@@ -6,6 +6,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction, Opcode
 
+#: Opcodes that end a block; ``seal`` rejects them anywhere but last.
+_ENDS_BLOCK = frozenset(
+    {Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.HALT}
+)
+
 
 class BasicBlock:
     """A straight-line sequence of instructions with a single terminator.
@@ -174,6 +179,14 @@ class ControlFlowGraph:
         if self._sealed:
             return
         order = list(self._blocks.values())
+        for block in order:
+            for index, instr in enumerate(block.instructions[:-1]):
+                if instr.opcode in _ENDS_BLOCK:
+                    raise ValueError(
+                        f"{instr.opcode.name} at index {index} of block "
+                        f"{block.name!r} in function {self.name!r} is not "
+                        f"the block's last instruction"
+                    )
         for i, block in enumerate(order):
             needs_fallthrough = not (
                 block.ends_in_halt

@@ -19,6 +19,10 @@ Hierarchy::
     ├── TraceValidationError     a JSONL event trace failed schema
     │                            validation or did not reconcile with
     │                            its run's stats (repro.obs)
+    ├── ExecutionLimitExceeded   the functional interpreter ran past its
+    │                            instruction budget (defined in
+    │                            repro.program.interpreter; also a
+    │                            RuntimeError, as it always was)
     └── HintValidationError      a hint table failed static validation
                                  (also a ValueError, for backward
                                  compatibility with the old loader)

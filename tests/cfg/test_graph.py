@@ -4,7 +4,7 @@ import pytest
 
 from repro.cfg.builder import CFGBuilder
 from repro.cfg.graph import BasicBlock, ControlFlowGraph
-from repro.isa.instructions import Condition
+from repro.isa.instructions import Condition, Instruction, Opcode
 
 
 def diamond_cfg():
@@ -81,6 +81,39 @@ class TestValidation:
         blk.jmp("A")
         with pytest.raises(ValueError):
             blk.addi(1, 1, 1)
+
+    @pytest.mark.parametrize("opcode", ["BR", "JMP", "CALL", "RET", "HALT"])
+    def test_block_ending_opcode_before_last_slot_rejected(self, opcode):
+        ender = {
+            "BR": Instruction(Opcode.BR, srcs=(1,), cond=Condition.EQ,
+                              target="B"),
+            "JMP": Instruction(Opcode.JMP, target="B"),
+            "CALL": Instruction(Opcode.CALL, target="g"),
+            "RET": Instruction(Opcode.RET),
+            "HALT": Instruction(Opcode.HALT),
+        }[opcode]
+        cfg = ControlFlowGraph("f")
+        a = BasicBlock("A")
+        a.instructions = [
+            Instruction(Opcode.MOVI, dest=1, imm=1),
+            ender,
+            Instruction(Opcode.ADDI, dest=1, srcs=(1,), imm=1),
+        ]
+        cfg.add_block(a)
+        b = BasicBlock("B")
+        b.instructions = [Instruction(Opcode.HALT)]
+        cfg.add_block(b)
+        with pytest.raises(ValueError) as info:
+            cfg.seal()
+        message = str(info.value)
+        assert opcode in message
+        assert "'f'" in message and "'A'" in message and "index 1" in message
+
+    def test_halt_then_work_rejected_through_builder(self):
+        b = CFGBuilder("f")
+        b.block("A").halt().addi(1, 1, 1)
+        with pytest.raises(ValueError, match="HALT at index 0"):
+            b.build()
 
     def test_sealed_cfg_rejects_new_blocks(self):
         cfg = diamond_cfg()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cfg.builder import CFGBuilder
+from repro.errors import ReproError
 from repro.isa.instructions import Condition
 from repro.program.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.program.memory import Memory
@@ -68,6 +69,28 @@ class TestArithmetic:
         assert interp.registers.read(2) == 0
 
 
+    def test_add_mul_shl_wrap_modulo_2_64(self):
+        b = CFGBuilder("main")
+        blk = b.block("entry")
+        blk.movi(1, -1)        # 2**64 - 1
+        blk.movi(2, 2)
+        blk.movi(5, 1)
+        blk.movi(6, 63)
+        blk.add(3, 1, 2)
+        blk.mul(4, 1, 2)
+        blk.shl(7, 1, 5)
+        blk.shl(8, 2, 6)
+        blk.halt()
+        interp = Interpreter(build_program(b.build()))
+        interp.run()
+        regs = interp.registers
+        assert regs.read(1) == 2**64 - 1
+        assert regs.read(3) == 1
+        assert regs.read(4) == 2**64 - 2
+        assert regs.read(7) == 2**64 - 2
+        assert regs.read(8) == 0
+
+
 class TestControlFlow:
     def test_taken_branch(self):
         b = CFGBuilder("main")
@@ -112,6 +135,44 @@ class TestControlFlow:
         heads = [r for r in trace if r.block.name == "head"]
         assert len(heads) == 6
         assert [r.taken for r in heads] == [False] * 5 + [True]
+
+
+    @pytest.mark.parametrize("lhs,rhs,cond,taken", [
+        (1 << 63, -1, Condition.LT, True),     # -2**63 < -1
+        (1 << 63, -1, Condition.GT, False),
+        (-1, -1, Condition.EQ, True),          # 2**64 - 1 reads as -1
+        (5, -(1 << 63), Condition.GT, True),
+        (2**64 - 2, -1, Condition.LE, True),   # -2 <= -1
+    ])
+    def test_branch_compares_signed_against_immediate(self, lhs, rhs, cond,
+                                                      taken):
+        b = CFGBuilder("main")
+        a = b.block("A")
+        a.movi(1, lhs)
+        a.br(cond, 1, imm=rhs, taken="T")
+        b.block("N").halt()
+        b.block("T").halt()
+        trace = Interpreter(build_program(b.build())).run()
+        assert trace.records[0].taken is taken
+
+    @pytest.mark.parametrize("lhs,rhs,cond,taken", [
+        (1 << 63, 1, Condition.LT, True),      # -2**63 < 1
+        (1 << 63, 1, Condition.GE, False),
+        (-1, 0, Condition.LT, True),           # -1 < 0
+        (2**64 - 1, -1, Condition.EQ, True),
+        (1 << 63, (1 << 63) - 1, Condition.GT, False),
+    ])
+    def test_branch_compares_signed_against_register(self, lhs, rhs, cond,
+                                                     taken):
+        b = CFGBuilder("main")
+        a = b.block("A")
+        a.movi(1, lhs)
+        a.movi(2, rhs)
+        a.br(cond, 1, 2, taken="T")
+        b.block("N").halt()
+        b.block("T").halt()
+        trace = Interpreter(build_program(b.build())).run()
+        assert trace.records[0].taken is taken
 
 
 class TestCallsAndReturns:
@@ -183,6 +244,22 @@ class TestMemory:
         interp.run()
         assert interp.registers.read(2) == 6
 
+    def test_load_into_r0_records_address_and_keeps_r0_zero(self):
+        mem = Memory()
+        mem.store(300, 9)
+        b = CFGBuilder("main")
+        blk = b.block("entry")
+        blk.movi(1, 296)
+        blk.load(0, 1, offset=4)
+        blk.add(2, 0, 0)
+        blk.halt()
+        interp = Interpreter(build_program(b.build()), memory=mem)
+        trace = interp.run()
+        assert trace.records[0].mem_addrs == (300,)
+        assert trace.load_count == 1
+        assert interp.registers.read(0) == 0
+        assert interp.registers.read(2) == 0
+
     def test_unwritten_memory_reads_zero(self):
         mem = Memory()
         assert mem.load(0xDEAD) == 0
@@ -203,6 +280,34 @@ class TestLimitsAndTraceStats:
         interp = Interpreter(build_program(b.build()), max_instructions=1000)
         with pytest.raises(ExecutionLimitExceeded):
             interp.run()
+
+    def test_budget_error_is_a_repro_error(self):
+        b = CFGBuilder("main")
+        b.block("spin").jmp("spin")
+        interp = Interpreter(build_program(b.build()), max_instructions=10)
+        with pytest.raises(ReproError):
+            interp.run()
+        with pytest.raises(RuntimeError):
+            interp.run()
+
+    @staticmethod
+    def _work_then_halt(work):
+        b = CFGBuilder("main")
+        b.block("work").nop(work)
+        b.block("done").halt()
+        return build_program(b.build())
+
+    def test_exact_budget_boundary(self):
+        """The budget is checked after every block that does not end
+        the program: a run whose blocks before the final HALT execute
+        exactly ``max_instructions`` instructions succeeds, and one more
+        instruction raises."""
+        trace = Interpreter(
+            self._work_then_halt(10), max_instructions=10
+        ).run()
+        assert trace.instruction_count == 11
+        with pytest.raises(ExecutionLimitExceeded, match="exceeded 10"):
+            Interpreter(self._work_then_halt(11), max_instructions=10).run()
 
     def test_trace_statistics(self):
         b = CFGBuilder("main")
