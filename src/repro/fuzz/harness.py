@@ -279,12 +279,9 @@ def _check_gang(ctx: FuzzProgram, spec: FuzzSpec) -> List[Finding]:
     and the lanes run their episodes on the vector path while sharing
     the group's structural walk cache and predictor epochs.  Each lane's
     SimStats is then diffed against a reference-engine run of the same
-    sizing.  Without numpy the engine has no vector path and the band is
-    a no-op."""
-    from repro.uarch.batch import BatchCell, batch_supported, run_batch
+    sizing."""
+    from repro.uarch.batch import BatchCell, run_batch
 
-    if not batch_supported():
-        return []
     try:
         hints = ctx.hints_for(GANG_MODE)
         warm = ctx.workload.memory.warm_words()

@@ -177,9 +177,7 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
     per-cell share (group total / cell count) — lockstep execution has
     no per-cell attribution finer than that.  Every sampled cell's
     :class:`~repro.uarch.stats.SimStats` must match the batch result
-    bit for bit (``identical``).  Returns ``None`` when numpy is
-    unavailable (the batch engine then degrades to the fast engine, and
-    a throughput claim for it would be meaningless).
+    bit for bit (``identical``).  Returns ``None`` for an empty sweep.
 
     ``use_hints`` attaches each context's CFM/hammock hint table to its
     cells (predicated grids are meaningless without one); ``fast_modes``
@@ -188,12 +186,7 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
     the geomean against the batch per-cell share as
     ``speedup_fast_dmp``.
     """
-    from repro.uarch.batch import BatchCell, batch_supported, run_batch
-
-    if not batch_supported():
-        say(f"{label}: numpy unavailable, batch sweep skipped")
-        return None
-    from repro.uarch.batch.arena import clear_arena_caches
+    from repro.uarch.batch import BatchCell, run_batch
 
     if not benchmarks or not seeds or not config_names:
         # An empty sweep has no per-cell share to divide by; report the
@@ -217,10 +210,10 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
                            if use_hints else None),
                     benchmark=name, warm_words=warm_words,
                 ))
-    # Cold: the batch run pays for its own arenas and block plans.
+    # Cold: the batch run pays for its own arenas (always built per
+    # call) and block plans.
     for program in programs:
         ProgramAnalysis.reset(program)
-    clear_arena_caches()
     fallback_reasons: Dict[str, int] = {}
     profile: Dict[str, float] = {}
     t0 = time.process_time()

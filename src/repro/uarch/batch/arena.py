@@ -2,8 +2,11 @@
 
 The lockstep engine (:mod:`repro.uarch.batch.engine`) advances many
 simulation cells in parallel over numpy struct-of-arrays.  Everything
-that does not depend on per-cell *timing* is precomputed here once per
-program / per trace and shared by every cell:
+that does not depend on per-cell *timing* is precomputed here, once per
+program and once per (trace, warm-up) inside each ``run_batch`` call,
+and shared by every cell of that call.  The arenas are plain locals of
+the call: nothing is memoized across calls, so they die when it
+returns.
 
 * **Program tables** (:class:`ProgramArena`) — the per-block row decode
   of :class:`~repro.uarch.plan.BlockPlan`, padded into rectangular
@@ -37,8 +40,7 @@ engine.
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -151,6 +153,7 @@ class ProgramArena:
 
         for b, plan in enumerate(plans):
             self.NROWS[b] = plan.n
+            # ControlFlowGraph.seal keeps a BR last, as the walk assumes.
             is_br = plan.term_kind == TERM_BR
             self.NBODY[b] = plan.n - 1 if is_br else plan.n
             if plan.first_pc is not None:
@@ -163,11 +166,6 @@ class ProgramArena:
                 self.CALLEE[b] = self.gid[
                     (plan.callee_name, plan.callee_block.name)
                 ]
-            if any(plan.cond_flags[:-1]):
-                # A mid-block conditional would break the walk's
-                # "non-cond prefix + one cond row" closed form.
-                self.vector_ok = False
-                self.reason = "conditional branch inside a block body"
             loads = stores = 0
             for i, (cond, kind, latency, _lat1, dest, srcs) in enumerate(
                 plan.rows
@@ -368,127 +366,3 @@ class TraceArena:
         self.NODEPAR = np.asarray(node_parent, np.int64)
         self.NODERET = np.asarray(node_ret, np.int64)
         self.nnodes = len(node_parent)
-
-
-class _BoundedArenaCache:
-    """A weak-key memo with an LRU entry cap.
-
-    Correctness comes from the weak keys (an entry never outlives its
-    program/trace); *boundedness* comes from the cap: long design-space
-    sweeps hold thousands of live trace objects (benchmark contexts,
-    fuzz corpora), and without eviction the memos grow with them.  The
-    cap evicts in least-recently-used order; an evicted arena is simply
-    rebuilt on its next use."""
-
-    __slots__ = ("cap", "data", "order")
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.data: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self.order: Dict[int, "weakref.ref"] = {}
-
-    def get(self, key):
-        value = self.data.get(key)
-        if value is not None:
-            k = id(key)
-            ref = self.order.pop(k, None)
-            if ref is not None:
-                self.order[k] = ref  # move to most-recent
-        return value
-
-    def put(self, key, value) -> None:
-        self.data[key] = value
-        self.order.pop(id(key), None)
-        self.order[id(key)] = weakref.ref(key)
-        self.trim()
-
-    def trim(self) -> None:
-        while len(self.order) > self.cap:
-            k = next(iter(self.order))
-            ref = self.order.pop(k)
-            obj = ref()
-            if obj is not None:
-                self.data.pop(obj, None)
-
-    def clear(self) -> None:
-        self.data.clear()
-        self.order.clear()
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-#: Default entry caps; ``set_arena_cache_cap`` resizes both at runtime
-#: (the suite executors enforce them after every batch run).
-_DEFAULT_PROGRAM_CAP = 64
-_DEFAULT_TRACE_CAP = 256
-
-_PROGRAM_ARENAS = _BoundedArenaCache(_DEFAULT_PROGRAM_CAP)
-_TRACE_ARENAS = _BoundedArenaCache(_DEFAULT_TRACE_CAP)
-
-
-def set_arena_cache_cap(programs: Optional[int] = None,
-                        traces: Optional[int] = None) -> None:
-    """Resize the arena memo caps (and trim immediately)."""
-    if programs is not None:
-        _PROGRAM_ARENAS.cap = programs
-        _PROGRAM_ARENAS.trim()
-    if traces is not None:
-        _TRACE_ARENAS.cap = traces
-        _TRACE_ARENAS.trim()
-
-
-def arena_cache_sizes() -> Tuple[int, int]:
-    """Current (program, trace) memo entry counts — for the cap tests
-    and the suite executors' bookkeeping."""
-    return len(_PROGRAM_ARENAS), len(_TRACE_ARENAS)
-
-
-def trim_arena_caches() -> None:
-    """Re-enforce the LRU caps (idempotent).  The suite executors call
-    this after each batch run so multi-thousand-cell sweeps cannot grow
-    the memos without bound even while every trace stays alive."""
-    _PROGRAM_ARENAS.trim()
-    _TRACE_ARENAS.trim()
-
-
-def program_arena(program) -> ProgramArena:
-    arena = _PROGRAM_ARENAS.get(program)
-    if arena is None:
-        arena = ProgramArena(program)
-        _PROGRAM_ARENAS.put(program, arena)
-    return arena
-
-
-def trace_arena(parena: ProgramArena, program, trace,
-                warm_words) -> TraceArena:
-    """Build (or reuse) the trace tables; keyed by the trace object and
-    a digest of the warm-up word list, which changes the L2 image the
-    replay starts from."""
-    per_trace = _TRACE_ARENAS.get(trace)
-    if per_trace is None:
-        per_trace = {}
-        _TRACE_ARENAS.put(trace, per_trace)
-    warm = tuple(warm_words) if warm_words else ()
-    key = (len(warm), hash(warm))
-    arena = per_trace.get(key)
-    if arena is None:
-        arena = per_trace[key] = TraceArena(parena, program, trace, warm)
-    return arena
-
-
-#: Dependent caches (the horizon span/macro registries) register a
-#: clear callback here so ``clear_arena_caches`` drops them too.
-_CLEAR_HOOKS: List = []
-
-
-def clear_arena_caches() -> None:
-    """Drop every memoized arena, so the next :func:`program_arena` /
-    :func:`trace_arena` call rebuilds from scratch.  The bench harness
-    calls this before a cold batch run: the weak-key memos outlive
-    ``ProgramAnalysis.reset``, and a cold measurement must charge the
-    arena builds to the engine."""
-    _PROGRAM_ARENAS.clear()
-    _TRACE_ARENAS.clear()
-    for hook in _CLEAR_HOOKS:
-        hook()

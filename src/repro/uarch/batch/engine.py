@@ -50,10 +50,12 @@ from repro.uarch.batch.arena import (
     ZREG,
     ProgramArena,
     TraceArena,
-    program_arena,
-    trace_arena,
 )
-from repro.uarch.batch.horizon import extended_arena, trace_spans
+from repro.uarch.batch.horizon import (
+    HorizonIndex,
+    extended_arena,
+    trace_spans,
+)
 from repro.uarch.plan import (
     KIND_LOAD,
     KIND_STORE,
@@ -349,11 +351,14 @@ class BatchCell:
 
 
 def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
-    """Whether the vector path can run this cell bit-identically.
+    """Whether the vector path can run this cell bit-identically,
+    judged from its configuration and tracer.
 
     Anything outside the envelope is not an error — ``run_batch`` falls
     back to the fast engine per cell — but the reason string feeds the
-    differential tests and ``docs/performance.md``.
+    differential tests and ``docs/performance.md``.  The program-level
+    check (:attr:`ProgramArena.vector_ok`) runs in ``run_batch``, which
+    builds the program's arena.
     """
     from repro.validation.runtime import paranoid_enabled
 
@@ -395,9 +400,6 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
         return False, "non-default store buffer"
     if config.memory_latency != 300 or config.prefetch_lines != 0:
         return False, "non-default memory system"
-    parena = program_arena(cell.program)
-    if not parena.vector_ok:
-        return False, parena.reason
     return True, ""
 
 
@@ -424,11 +426,15 @@ def run_batch(
     """Simulate every cell; vector-eligible cells run in one lockstep
     group, the rest fall back to the fast engine (bit-identical either
     way).  Pass a dict as ``fallback_reasons`` to receive a histogram of
-    ``cell_supported`` reason strings for the cells that fell off the
-    vector path (the ``run_suite``/CLI fallback summary).
+    ``cell_supported`` and program-arena reason strings for the cells
+    that fell off the vector path (the ``run_suite``/CLI fallback
+    summary).
+
+    Every arena is built here, once per distinct program and once per
+    distinct (trace, warm words), and dies when the call returns.
 
     ``profile`` (a dict, accumulated into) receives wall-time phase
-    attribution: ``arena_build`` (group construction: arenas, horizon
+    attribution: ``arena_build`` (program and trace arenas, horizon
     spans, table concatenation), ``step_loop`` (the vector driver),
     ``episode_tails`` (dpred episodes, one scalar epilogue per lane),
     ``scalar_walks`` (mispredict/fork wrong-path walks) and
@@ -439,9 +445,19 @@ def run_batch(
     (``perfbench/layers.py``), which passes it."""
     results: List[Optional[SimStats]] = [None] * len(cells)
     vec: List[int] = []
-    fb_time = 0.0
+    parenas: Dict[int, ProgramArena] = {}  # id(program) -> arena
+    fb_time = build = 0.0
     for i, cell in enumerate(cells):
         ok, reason = cell_supported(cell)
+        if ok:
+            t0 = perf_counter()
+            parena = parenas.get(id(cell.program))
+            if parena is None:
+                parena = parenas[id(cell.program)] = ProgramArena(
+                    cell.program
+                )
+            build += perf_counter() - t0
+            ok, reason = parena.vector_ok, parena.reason
         if ok:
             vec.append(i)
         else:
@@ -452,29 +468,27 @@ def run_batch(
             t0 = perf_counter()
             results[i] = _fallback(cell)
             fb_time += perf_counter() - t0
+    run_time = ep = wk = 0.0
     if vec:
         t0 = perf_counter()
-        group = _Group([cells[i] for i in vec])
-        build = perf_counter() - t0
+        group = _Group([cells[i] for i in vec], parenas)
+        build += perf_counter() - t0
         t0 = perf_counter()
         out = group.run()
         run_time = perf_counter() - t0
         for i, stats in zip(vec, out):
             results[i] = stats
-        if profile is not None:
-            ep = group._prof["episode_tails"]
-            wk = group._prof["scalar_walks"]
-            for key, val in (
-                ("arena_build", build),
-                ("step_loop", run_time - ep - wk),
-                ("episode_tails", ep),
-                ("scalar_walks", wk),
-            ):
-                profile[key] = profile.get(key, 0.0) + val
+        ep = group._prof["episode_tails"]
+        wk = group._prof["scalar_walks"]
     if profile is not None:
-        profile["scalar_fallback"] = (
-            profile.get("scalar_fallback", 0.0) + fb_time
-        )
+        for key, val in (
+            ("arena_build", build),
+            ("step_loop", run_time - ep - wk),
+            ("episode_tails", ep),
+            ("scalar_walks", wk),
+            ("scalar_fallback", fb_time),
+        ):
+            profile[key] = profile.get(key, 0.0) + val
     return results  # type: ignore[return-value]
 
 
@@ -488,30 +502,38 @@ def _jrs_threshold(config) -> int:
 class _Group:
     """All vector-eligible cells, advanced in lockstep."""
 
-    def __init__(self, cells: List[BatchCell]) -> None:
+    def __init__(self, cells: List[BatchCell],
+                 parenas: Dict[int, ProgramArena]) -> None:
         self.cells = cells
         n = len(cells)
         self.n = n
         i8 = np.int64
 
         # -- shared static tables (concatenated across programs/traces)
-        # Pass 1: raw arenas + horizon span tables.  trace_spans interns
-        # each trace's quiet-run macro blocks into the program's horizon
-        # index, so the extended block space is known before group
-        # offsets are assigned.
-        raw_seen: Dict[int, ProgramArena] = {}
+        # Pass 1: trace arenas + horizon span tables.  trace_spans
+        # interns each trace's quiet-run macro blocks into its program's
+        # horizon index, so the extended block space is known before
+        # group offsets are assigned.
+        indexes: Dict[int, HorizonIndex] = {}  # id(parena) -> index
         raw_list: List[ProgramArena] = []
         cell_pa: List[ProgramArena] = []
         cell_ta: List[TraceArena] = []
+        tarenas_by_key: Dict[Tuple[int, tuple], TraceArena] = {}
         t_spans: Dict[int, Any] = {}
         for cell in cells:
-            pa = program_arena(cell.program)
-            if id(pa) not in raw_seen:
-                raw_seen[id(pa)] = pa
+            pa = parenas[id(cell.program)]
+            if id(pa) not in indexes:
+                indexes[id(pa)] = HorizonIndex()
                 raw_list.append(pa)
-            ta = trace_arena(pa, cell.program, cell.trace, cell.warm_words)
-            if id(ta) not in t_spans:
-                t_spans[id(ta)] = trace_spans(pa, ta)
+            # The warm-up words set the L2 image the replay starts from.
+            warm = tuple(cell.warm_words) if cell.warm_words else ()
+            key = (id(cell.trace), warm)
+            ta = tarenas_by_key.get(key)
+            if ta is None:
+                ta = tarenas_by_key[key] = TraceArena(
+                    pa, cell.program, cell.trace, warm
+                )
+                t_spans[id(ta)] = trace_spans(pa, ta, indexes[id(pa)])
             cell_pa.append(pa)
             cell_ta.append(ta)
         rawL = max(pa.L for pa in raw_list)
@@ -530,7 +552,7 @@ class _Group:
         noffs = np.zeros(n, i8)
         nblk = nrec = nload = nnode = 0
         for pa in raw_list:
-            ext = extended_arena(pa)
+            ext = extended_arena(pa, indexes[id(pa)])
             exts[id(pa)] = (ext, nblk)
             p_list.append(ext)
             nblk += ext.n

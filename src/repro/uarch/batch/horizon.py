@@ -31,13 +31,14 @@ run is itself a quiet run.  Macro blocks are interned per program by
 their block-id tuple — loops make the same sequences recur constantly —
 and appended after the program's own blocks in an
 :class:`ExtendedArena` view the engine concatenates exactly like a
-:class:`~repro.uarch.batch.arena.ProgramArena`.
+:class:`~repro.uarch.batch.arena.ProgramArena`.  Like the arenas, the
+index and the span tables are built inside one ``run_batch`` call and
+die with it.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from repro.uarch.batch.arena import (
     JREG,
     NO_PC,
     ZREG,
-    _CLEAR_HOOKS,
     ProgramArena,
     TraceArena,
 )
@@ -60,17 +60,14 @@ SPAN_ROW_CAP = 64
 
 class HorizonIndex:
     """Per-program registry of span macro blocks, interned by their
-    constituent block-id tuple.  Append-only: macro ``m`` keeps local id
-    ``parena.n + m`` for the life of the program arena, so snapshots
-    taken by different lockstep groups agree on ids."""
+    constituent block-id tuple: macro ``m`` has local id
+    ``parena.n + m``."""
 
-    __slots__ = ("seqs", "_ids", "snapshot", "snap_n", "__weakref__")
+    __slots__ = ("seqs", "_ids")
 
     def __init__(self) -> None:
         self.seqs: List[Tuple[int, ...]] = []
         self._ids: Dict[Tuple[int, ...], int] = {}
-        self.snapshot: Optional["ExtendedArena"] = None
-        self.snap_n = 0
 
     def intern(self, blocks: Tuple[int, ...]) -> int:
         mid = self._ids.get(blocks)
@@ -95,34 +92,10 @@ class SpanTables:
         self.merged_records = merged_records
 
 
-_INDEXES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SPANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _clear_horizon_caches() -> None:
-    _INDEXES.clear()
-    _SPANS.clear()
-
-
-_CLEAR_HOOKS.append(_clear_horizon_caches)
-
-
-def horizon_index(parena: ProgramArena) -> HorizonIndex:
-    index = _INDEXES.get(parena)
-    if index is None:
-        index = _INDEXES[parena] = HorizonIndex()
-    return index
-
-
-def trace_spans(parena: ProgramArena, tarena: TraceArena) -> SpanTables:
-    """Build (or reuse) the span tables for one trace, registering any
-    new macro blocks in the program's :class:`HorizonIndex`."""
-    hit = _SPANS.get(tarena)
-    if hit is not None:
-        owner, tables = hit
-        if owner() is parena:
-            return tables
-    index = horizon_index(parena)
+def trace_spans(parena: ProgramArena, tarena: TraceArena,
+                index: HorizonIndex) -> SpanTables:
+    """Build the span tables for one trace, registering any new macro
+    blocks in the program's ``index``."""
     rblk = tarena.RBLK.tolist()
     rex = tarena.REXTRA.tolist()
     nrec = tarena.nrec
@@ -149,13 +122,11 @@ def trace_spans(parena: ProgramArena, tarena: TraceArena) -> SpanTables:
         spanblk[r] = pn + index.intern(tuple(rblk[r:end + 1]))
         spanlast[r] = end
         merged += end - r
-    tables = SpanTables(
+    return SpanTables(
         np.asarray(spanblk, np.int64),
         np.asarray(spanlast, np.int64),
         merged,
     )
-    _SPANS[tarena] = (weakref.ref(parena), tables)
-    return tables
 
 
 class ExtendedArena:
@@ -276,16 +247,10 @@ class ExtendedArena:
                     self.RSTORD[gb, i] = stord
 
 
-def extended_arena(parena: ProgramArena):
-    """The program's block tables extended with every macro registered
-    so far — the raw arena itself when no trace produced any spans.
-    Snapshots are reused until new macros appear."""
-    index = _INDEXES.get(parena)
-    if index is None or not index.seqs:
+def extended_arena(parena: ProgramArena, index: HorizonIndex):
+    """The program's block tables extended with every macro in
+    ``index`` — the raw arena itself when no trace produced any
+    spans."""
+    if not index.seqs:
         return parena
-    if index.snapshot is not None and index.snap_n == len(index.seqs):
-        return index.snapshot
-    ext = ExtendedArena(parena, index.seqs)
-    index.snapshot = ext
-    index.snap_n = len(index.seqs)
-    return ext
+    return ExtendedArena(parena, index.seqs)

@@ -14,13 +14,14 @@ import dataclasses
 
 import pytest
 
+from repro.cfg.builder import CFGBuilder
+from repro.core.processors import simulate
 from repro.harness.experiment import BenchmarkContext, run_suite
-from repro.uarch.batch import (
-    BatchCell,
-    batch_supported,
-    cell_supported,
-    run_batch,
-)
+from repro.isa.instructions import Condition
+from repro.program.interpreter import Interpreter
+from repro.program.memory import Memory
+from repro.program.program import Program
+from repro.uarch.batch import BatchCell, cell_supported, run_batch
 from repro.uarch.config import MachineConfig
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -65,11 +66,9 @@ def test_vector_path_bit_identical_across_the_suite():
         ):
             cells.append(_cell(ctx, config))
             refs.append(_reference(ctx, config))
-    if batch_supported():
-        for cell in cells:
-            ok, reason = cell_supported(cell)
-            assert ok, f"{cell.benchmark}: expected vector path, {reason}"
-    results = run_batch(cells)
+    reasons = {}
+    results = run_batch(cells, fallback_reasons=reasons)
+    assert reasons == {}, "expected every cell on the vector path"
     for cell, ref, got in zip(cells, refs, results):
         assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
             cell.benchmark, cell.config.mode,
@@ -162,16 +161,14 @@ def test_fallback_path_bit_identical(bench_name, config_name):
     }[config_name]
     ctx = _context(bench_name)
     config = factory().hardened()
-    if batch_supported():
-        ok, _ = cell_supported(_cell(ctx, config))
-        assert not ok, "expected a fallback config"
+    ok, _ = cell_supported(_cell(ctx, config))
+    assert not ok, "expected a fallback config"
     got = ctx.simulate(config.replace(engine="batch"))
     ref = _reference(ctx, config)
     assert ref.oracle_checks > 0, "oracle was not armed"
     assert dataclasses.asdict(got) == dataclasses.asdict(ref)
 
 
-@pytest.mark.skipif(not batch_supported(), reason="numpy unavailable")
 def test_cell_supported_reports_reasons():
     ctx = _context("parser")
     ok, reason = cell_supported(_cell(ctx, MachineConfig.baseline()))
@@ -249,3 +246,81 @@ def test_run_suite_batch_executor_matches_serial():
             assert dataclasses.asdict(
                 batch.stats(name, label)
             ) == dataclasses.asdict(serial.stats(name, label))
+
+
+def test_trace_arenas_keyed_by_trace_and_warm_words():
+    """One group holding two traces of one ``Program`` object, each with
+    and without its warm-up words: every (trace, warm words) pair needs
+    its own trace arena, and both traces share the program's arena and
+    span-macro index.  Every cell must match the reference engine."""
+    ctx = _context("parser")
+    warm = ctx.workload.memory.warm_words()
+    # A second trace of the same Program object: on zeroed memory it
+    # takes other paths, so its span macros intern in another order.
+    traces = (ctx.trace, Interpreter(ctx.program, memory=Memory()).run())
+    assert len(traces[0].records) != len(traces[1].records)
+    cells = [
+        BatchCell(ctx.program, trace, config.replace(engine="batch"),
+                  hints=ctx.hints_for(config), benchmark=ctx.name,
+                  warm_words=warm_words)
+        for trace in traces
+        for warm_words in (None, warm)
+        for config in (MachineConfig.baseline(), MachineConfig.dmp())
+    ]
+    refs = [
+        simulate(cell.program, cell.trace,
+                 cell.config.replace(engine="reference"), hints=cell.hints,
+                 benchmark=cell.benchmark, warm_words=cell.warm_words)
+        for cell in cells
+    ]
+    # The warm-up image must matter, or a key without it would pass.
+    assert refs[0].cycles != refs[2].cycles
+    reasons = {}
+    results = run_batch(cells, fallback_reasons=reasons)
+    assert reasons == {}
+    for cell, ref, got in zip(cells, refs, results):
+        assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
+            len(cell.trace.records), cell.warm_words is None,
+            cell.config.mode,
+        )
+
+
+def _btb_overflow_program():
+    """Five redirect sites (four JMPs and a loop BR) 1024 instructions
+    apart: every one maps to the same 4-way BTB set."""
+    b = CFGBuilder("main")
+    for k in range(5):
+        block = b.block(f"b{k}")
+        if k == 0:
+            block.addi(1, 1, 1).nop(1022)
+        else:
+            block.nop(1023)
+        if k < 4:
+            block.jmp(f"b{k + 1}")
+        else:
+            block.br(Condition.LT, 1, imm=3, taken="b0")
+    b.block("end").halt()
+    program = Program("btb-overflow")
+    program.add_function(b.build())
+    return program.seal()
+
+
+def test_btb_set_overflow_falls_back():
+    """The one program-level envelope check: a BTB set that can evict
+    sends the cell to the fast engine, with the reason named, although
+    its configuration alone is inside the envelope."""
+    program = _btb_overflow_program()
+    sites = [
+        instr.pc for cfg in program.functions() for block in cfg
+        for instr in block.instructions if instr.opcode.name in ("JMP", "BR")
+    ]
+    assert len({(pc >> 2) % 1024 for pc in sites}) == 1 and len(sites) == 5
+    trace = Interpreter(program).run()
+    config = MachineConfig.baseline()
+    cell = BatchCell(program, trace, config.replace(engine="batch"))
+    assert cell_supported(cell) == (True, "")
+    reasons = {}
+    got = run_batch([cell], fallback_reasons=reasons)[0]
+    assert reasons == {"BTB set can overflow (eviction possible)": 1}
+    ref = simulate(program, trace, config.replace(engine="reference"))
+    assert dataclasses.asdict(got) == dataclasses.asdict(ref)

@@ -235,10 +235,6 @@ class TestRunBench:
         # A degenerate sweep description (no benchmarks, seeds or
         # configs) has zero cells; the group must report the skip
         # instead of dying on the per-cell share division.
-        from repro.uarch.batch import batch_supported
-
-        if not batch_supported():
-            pytest.skip("numpy unavailable; batch engine inactive")
         for empty in (
             {"benchmarks": ()},
             {"seeds": ()},
@@ -257,10 +253,6 @@ class TestRunBench:
             assert any("empty sweep" in m for m in messages)
 
     def test_batch_group_cell_structure(self):
-        from repro.uarch.batch import batch_supported
-
-        if not batch_supported():
-            pytest.skip("numpy unavailable; batch engine inactive")
         cell = bench._run_batch_group(
             "batch-test", benchmarks=("gzip",), iterations=60,
             seeds=(0,), sample=2, cache=None, say=lambda _msg: None,
@@ -286,10 +278,6 @@ class TestRunBench:
         assert "traced_identical" not in cell
 
     def test_dmp_batch_group_cell_structure(self):
-        from repro.uarch.batch import batch_supported
-
-        if not batch_supported():
-            pytest.skip("numpy unavailable; batch engine inactive")
         cell = bench._run_batch_group(
             "batch-dmp-test", benchmarks=("gzip",), iterations=60,
             seeds=(0,), sample=2, cache=None, say=lambda _msg: None,
