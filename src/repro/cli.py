@@ -175,7 +175,7 @@ def cmd_suite(args) -> int:
     elif result.timings is not None and result.timings.batch_fallbacks:
         timings = result.timings
         fell = sum(timings.batch_fallbacks.values())
-        total = fell + timings.batch_vector_cells
+        total = fell + timings.batch_kernel_cells
         print()
         print(
             f"batch fallbacks: {fell}/{total} cell(s) ran on the "
@@ -620,10 +620,10 @@ def cmd_fuzz(args) -> int:
 
     Every seed's program runs across {reference, fast} engines x every
     machine mode, hardened; ``--engines reference,batch --no-harden``
-    instead diffs the vectorized batch engine's vector path against the
+    instead diffs the batch engine's native kernel against the
     reference, and ``--gang`` adds the dmp-gang band (each program
-    fanned across machine sizings as one many-lane batch group whose
-    dpred episodes run on the vector path).  Exit codes: 0 — every
+    fanned across machine sizings in one ``run_batch`` call whose
+    dpred episodes run on the native kernel).  Exit codes: 0 — every
     seed clean; 1 — at least one finding (its JSON report and, with
     ``--minimize --corpus-dir``, its corpus reproducer carry the
     evidence).
@@ -706,9 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--engine", default="",
                          choices=["", "fast", "reference", "batch"],
                          help="simulation engine override; 'batch' runs "
-                              "every cell through the vectorized lockstep "
-                              "engine (bit-identical, much faster for "
-                              "sweeps)")
+                              "every cell on the native batch kernel "
+                              "(bit-identical, much faster for sweeps)")
     p_suite.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="persist traces/profiles/hints/stats under "
                               "PATH and reuse them on later runs (default: "
@@ -734,9 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--engine", default="",
                        choices=["", "fast", "reference", "batch"],
                        help="simulation engine override; 'batch' runs "
-                            "every cell through the vectorized lockstep "
-                            "engine (bit-identical, much faster for "
-                            "sweeps)")
+                            "every cell on the native batch kernel "
+                            "(bit-identical, much faster for sweeps)")
     p_fig.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="persist traces/profiles/hints/stats under "
                             "PATH and reuse them on later runs (default: "
@@ -807,15 +805,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "against (default reference,fast)")
     p_fuzz.add_argument("--no-harden", action="store_true",
                         help="run configs without the oracle/watchdog "
-                             "(required for the batch engine's vector "
-                             "path: hardened cells always take the "
-                             "scalar fallback)")
+                             "(required for the batch engine's native "
+                             "kernel: hardened cells always take the "
+                             "fast-engine fallback)")
     p_fuzz.add_argument("--gang", action="store_true",
                         help="add the dmp-gang band: fan each program "
-                             "across machine sizings as one many-lane "
-                             "batch group so dpred episodes run on the "
-                             "vector path, every lane diffed against "
-                             "the reference engine")
+                             "across machine sizings in one batch call "
+                             "so dpred episodes run on the native "
+                             "kernel, every cell diffed against the "
+                             "reference engine")
     p_fuzz.add_argument("--iterations", type=int, default=120,
                         help="outer-loop iterations per generated program")
     p_fuzz.add_argument("--max-gadgets", type=int, default=4,
@@ -862,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the batch sweeps' per-phase wall-"
                               "time attribution")
     p_bench.add_argument("--no-batch", action="store_true",
-                         help="skip the lockstep batch-engine sweep "
-                              "cells")
+                         help="skip the batch-engine sweep cells")
     p_bench.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="artifact cache for traces/profiles/hints")
     p_bench.add_argument("--no-cache", action="store_true",

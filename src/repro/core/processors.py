@@ -152,10 +152,10 @@ def simulate(
     if paranoid_enabled() and not (config.oracle_checks and config.watchdog):
         config = config.hardened()
     if config.engine == "batch":
-        # Batch-of-one through the vectorized lockstep engine; cells
-        # outside its vector envelope (predicating modes, hardened runs,
-        # tracers, exotic structure sizes) fall back to the fast engine
-        # inside run_batch, so this route accepts every configuration.
+        # Batch-of-one through the native kernel; cells outside its
+        # envelope (enhanced predicating modes, hardened runs, tracers,
+        # exotic structure sizes) fall back to the fast engine inside
+        # run_batch, so this route accepts every configuration.
         from repro.uarch.batch import BatchCell, run_batch
 
         return run_batch([

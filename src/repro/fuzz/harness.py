@@ -68,19 +68,17 @@ FUZZ_MODES = (
 #: Engines compared per mode.
 _ENGINES = ("reference", "fast")
 
-#: The many-lane band: one fuzz program fanned across machine sizings
-#: as a *single* batch-engine group.  Deliberately not part of
-#: :data:`FUZZ_MODES` — single-cell groups never share state between
-#: lanes, and hardened cells take the scalar fallback entirely — so the
-#: unhardened batch sweep opts in with ``modes=FUZZ_MODES +
-#: (GANG_MODE,)``.
+#: The many-sizing band: one fuzz program fanned across machine sizings
+#: in a *single* ``run_batch`` call, so the cells share that call's
+#: program and trace arenas.  Deliberately not part of
+#: :data:`FUZZ_MODES` — hardened cells take the fast-engine fallback
+#: entirely — so the unhardened batch sweep opts in with
+#: ``modes=FUZZ_MODES + (GANG_MODE,)``.
 GANG_MODE = "dmp-gang"
 
-#: Machine sizings fanned per spec for the band.  Every lane shares the
-#: spec's program and trace, so the whole group enters each dpred
-#: episode at the same record and the lanes share structural
-#: wrong-path walks and episode-signature epochs until their outcomes
-#: diverge.
+#: Machine sizings fanned per spec for the band.  Every cell shares the
+#: spec's program, trace and hints but times them differently, so the
+#: cells' dpred episodes diverge in outcome and in length.
 GANG_SIZINGS = tuple(
     (width, depth, rob, retire)
     for width in (4, 8)
@@ -98,8 +96,8 @@ def mode_configs() -> Dict[str, MachineConfig]:
     predication surface the simulator has, which is what the fuzzer
     should be hammering.  ``dmp-basic`` is the plain Table-1 machine:
     unlike the enhanced variant it sits inside the batch engine's
-    vector envelope, so an unhardened batch sweep exercises the
-    vectorized predicated-episode path rather than the scalar
+    envelope, so an unhardened batch sweep exercises the native
+    kernel's predicated episodes rather than the fast-engine
     fallback."""
     return {
         "baseline": MachineConfig.baseline(),
@@ -271,15 +269,13 @@ def _stat_diff(ref: SimStats, fast: SimStats) -> List[str]:
 
 
 def _check_gang(ctx: FuzzProgram, spec: FuzzSpec) -> List[Finding]:
-    """The ``dmp-gang`` band: one spec, :data:`GANG_SIZINGS` lanes, one
-    batch group.
+    """The ``dmp-gang`` band: one spec, :data:`GANG_SIZINGS` cells, one
+    ``run_batch`` call.
 
-    All lanes carry the same program, trace and diverge hints, so every
-    dpred episode is reached by the whole group at the same trace record
-    and the lanes run their episodes on the vector path while sharing
-    the group's structural walk cache and predictor epochs.  Each lane's
-    SimStats is then diffed against a reference-engine run of the same
-    sizing."""
+    All cells carry the same program, trace and diverge hints and run
+    their dpred episodes on the native kernel over the call's shared
+    arenas.  Each cell's SimStats is then diffed against a
+    reference-engine run of the same sizing."""
     from repro.uarch.batch import BatchCell, run_batch
 
     try:
@@ -362,8 +358,8 @@ def check_spec(
     ``engines[0]`` is the trusted reference; every other engine is
     diffed against it.  By default every simulation runs hardened
     (oracle + watchdog); pass ``harden=False`` to run the configs as-is
-    — that is how the batch engine's *vector* path gets covered, since
-    a hardened config always takes its scalar fallback.  The first
+    — that is how the batch engine's native kernel gets covered, since
+    a hardened config always takes the fast-engine fallback.  The first
     failure per ``(mode, engine)`` cell is recorded and the sweep
     continues, so one bad mode does not mask another."""
     findings: List[Finding] = []
@@ -385,10 +381,10 @@ def check_spec(
     configs = mode_configs()
     for mode in modes:
         if mode == GANG_MODE:
-            # The many-lane band runs its own group-shaped check: many
-            # batch lanes in one run_batch call, each diffed against the
-            # reference engine.  ``harden`` does not apply — a hardened
-            # cell would take the scalar fallback, off the vector path.
+            # The many-sizing band runs its own check: many batch cells
+            # in one run_batch call, each diffed against the reference
+            # engine.  ``harden`` does not apply — a hardened cell would
+            # take the fast-engine fallback, off the native kernel.
             findings.extend(_check_gang(ctx, spec))
             continue
         base = configs[mode]

@@ -462,10 +462,10 @@ class SuiteTimings:
     simulations_run: int = 0
     sim_memo_hits: int = 0
     sim_cache_hits: int = 0
-    #: Batch executor only: cells that ran in the lockstep group vs
+    #: Batch executor only: cells that ran on the native kernel vs
     #: cells that fell back to the fast engine, the latter grouped by
-    #: the ``cell_supported`` reason string.
-    batch_vector_cells: int = 0
+    #: their ``run_batch`` fallback reason string.
+    batch_kernel_cells: int = 0
     batch_fallbacks: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
@@ -482,10 +482,10 @@ class SuiteTimings:
             f"{self.sim_cache_hits} disk hit(s)",
         ]
         fell = sum(self.batch_fallbacks.values())
-        if self.batch_vector_cells or fell:
+        if self.batch_kernel_cells or fell:
             lines.append(
-                f"  batch: {self.batch_vector_cells} cell(s) on the "
-                f"vector path, {fell} fast-engine fallback(s)"
+                f"  batch: {self.batch_kernel_cells} cell(s) on the "
+                f"native kernel, {fell} fast-engine fallback(s)"
             )
             for reason, count in sorted(
                 self.batch_fallbacks.items(), key=lambda kv: (-kv[1], kv[0])
@@ -647,11 +647,12 @@ def _execute_pool(
 def _execute_batch(
     run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
 ) -> None:
-    """All cells through the vectorized lockstep engine in one group.
+    """All cells through the batch engine in one ``run_batch`` call.
 
     Every config is run with ``engine="batch"`` (the engine is
-    bit-identical, and cells outside the vector envelope fall back to
-    the fast engine inside ``run_batch``).  Memoized / disk-cached cells
+    bit-identical: each cell runs on the native kernel, or on the fast
+    engine inside ``run_batch`` when it is outside the kernel's
+    envelope or no kernel could be built).  Memoized / disk-cached cells
     are served without simulating; traced cells cannot batch (the event
     stream needs a live scalar simulator) and run serially instead.
     """
@@ -690,7 +691,7 @@ def _execute_batch(
     stats_list = run_batch(cells, fallback_reasons=timings.batch_fallbacks)
     per_cell = (time.perf_counter() - t0) / len(cells)
     fell = sum(timings.batch_fallbacks.values()) - fell_before
-    timings.batch_vector_cells += len(cells) - fell
+    timings.batch_kernel_cells += len(cells) - fell
     for (context, label, effective), stats in zip(meta, stats_list):
         context.stage_seconds["simulate"] += per_cell
         context.sims_run += 1
@@ -753,9 +754,9 @@ def run_suite(
     The cells are dispatched through a pluggable *executor*
     (``SUITE_EXECUTORS``): ``"serial"`` simulates one cell at a time,
     ``"pool"`` fans out over a process pool, and ``"batch"`` runs every
-    cell through the vectorized lockstep engine
-    (:mod:`repro.uarch.batch`) in one group.  When ``executor`` is not
-    given it is inferred: ``"batch"`` if any config selects
+    cell through the batch engine (:mod:`repro.uarch.batch`: a native C
+    kernel, one call per cell) in one ``run_batch`` call.  When
+    ``executor`` is not given it is inferred: ``"batch"`` if any config selects
     ``engine="batch"``, else ``"pool"`` when ``jobs > 1``, else
     ``"serial"``.  All executors return bit-identical results.
 

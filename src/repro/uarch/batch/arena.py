@@ -1,28 +1,28 @@
-"""Static arenas for the vectorized batch engine (``engine="batch"``).
+"""Static tables for the batch engine's native kernel (``engine="batch"``).
 
-The lockstep engine (:mod:`repro.uarch.batch.engine`) advances many
-simulation cells in parallel over numpy struct-of-arrays.  Everything
-that does not depend on per-cell *timing* is precomputed here, once per
-program and once per (trace, warm-up) inside each ``run_batch`` call,
-and shared by every cell of that call.  The arenas are plain locals of
-the call: nothing is memoized across calls, so they die when it
-returns.
+Everything that does not depend on a cell's *timing* is precomputed
+here, once per program and once per (trace, warm-up) inside each
+``run_batch`` call, and shared by every cell of that call.  The arenas
+are plain locals of the call: nothing is memoized across calls, so they
+die when it returns.  Every table is a flat C-contiguous int64 numpy
+array that ``kernel.c`` reads in place.
 
 * **Program tables** (:class:`ProgramArena`) — the per-block row decode
   of :class:`~repro.uarch.plan.BlockPlan`, padded into rectangular
-  numpy tables, plus successor block ids, perceptron/JRS indices, BTB
+  tables, plus successor block ids, perceptron/JRS indices, BTB
   redirect sites and reconvergence PCs for wrong-path walks.
 
-* **Trace tables** (:class:`TraceArena`) — for baseline / dual-path
-  machines the memory system, store buffer, return-address stack and
-  architectural call context are *timing-independent*: the access
-  sequence they observe is fixed by the trace alone, because wrong-path
-  walks touch only the fetch-cycle accounting and the speculative
-  history (see ``_walk_wrong_path_fast``), never the caches, the store
-  buffer, the BTB, the RAS or the ROB.  One scalar replay per trace
-  therefore pins down every icache stall, every load's latency or
-  forwarding source, every RAS underflow and the call stack at each
-  record — for every cell of that trace at once.
+* **Trace tables** (:class:`TraceArena`) — the memory system, store
+  buffer, return-address stack and architectural call context are
+  *timing-independent*: the access sequence they observe is fixed by
+  the trace alone, because wrong-path walks touch only the fetch-cycle
+  accounting and the speculative history (see
+  ``_walk_wrong_path_fast``), never the caches, the store buffer, the
+  BTB, the RAS or the ROB, and dpred episodes consume every trace
+  record exactly once.  One scalar replay per trace therefore pins down
+  every icache stall, every load's latency or forwarding source, every
+  RAS underflow and the call stack at each record — for every cell of
+  that trace at once.
 
 The replays reimplement the LRU/FIFO update rules of
 :mod:`repro.memsys.cache` and :mod:`repro.uarch.storebuffer` in lean
@@ -30,7 +30,7 @@ scalar form; the engine-differential suite (bit-identical ``SimStats``
 against the reference engine) is the guard that they stay
 decision-identical.
 
-The BTB is the one structure a walkless run still updates per cell, but
+The BTB is the one structure the kernel still updates per cell, but
 only through ``_taken_redirect``: each redirect PC always maps to the
 same target, so as long as no BTB set can overflow (checked statically
 per program) a one-bit "seen" flag per redirect site reproduces every
@@ -55,8 +55,9 @@ from repro.uarch.plan import (
 )
 
 #: Architectural register file size plus the two synthetic columns the
-#: engine routes padded reads/writes through: ``ZREG`` always reads 0
-#: (source padding), ``JREG`` is a write-only junk column.
+#: kernel routes padded reads/writes through: ``ZREG`` always reads 0
+#: (source padding), ``JREG`` is a write-only junk column (kernel.c
+#: hard-codes both as ``NREGS``/``JREG``).
 NUM_ARCH_REGS = 32
 ZREG = NUM_ARCH_REGS
 JREG = NUM_ARCH_REGS + 1
@@ -66,14 +67,12 @@ JREG = NUM_ARCH_REGS + 1
 #: reference engine's control-independence latch compares
 #: ``plan.first_pc == reconv_pc`` where both sides are ``None`` for an
 #: empty block with no reconvergence point, and ``None == None`` is
-#: True.  The upcoming-PC window pads with ``NO_UPC`` (-3) so a padded
-#: slot never matches either a real PC or the missing-PC sentinel.
+#: True.
 NO_PC = -1
 NO_RECONV = -1
-NO_UPC = -3
 
-#: Fixed Table 2 geometry the trace replay assumes (enforced by the
-#: engine's eligibility check).  Sizes are in cache *lines* of 8 words.
+#: Fixed Table 2 geometry the trace replay assumes (enforced by
+#: ``cell_supported``).  Sizes are in cache *lines* of 8 words.
 _L1I_SETS, _L1I_WAYS, _L1I_LAT = 512, 2, 2
 _L1D_SETS, _L1D_WAYS, _L1D_LAT = 256, 4, 2
 _L2_SETS, _L2_WAYS, _L2_LAT = 2048, 8, 10
@@ -87,7 +86,11 @@ _HISTORY_BITS = 31
 
 
 class ProgramArena:
-    """Rectangular numpy decode of one program's block plans."""
+    """Rectangular numpy decode of one program's block plans.
+
+    Row tables are ``[block, row]`` (``L`` rows per block) and source
+    tables ``[block, row, slot]`` (``K`` slots); padding reads ``ZREG``
+    and writes ``JREG``."""
 
     def __init__(self, program) -> None:
         analysis = ProgramAnalysis.of(program)
@@ -109,14 +112,6 @@ class ProgramArena:
                 if len(row[5]) > K:
                     K = len(row[5])
         self.L, self.K = L, K
-
-        #: Scalar per-block row tuples (``BlockPlan.timing_rows``) plus
-        #: per-block load/store counts — the engine's scalar tails, the
-        #: dpred episodes and the horizon macro blocks all consume these
-        #: directly instead of re-deriving them from the padded tables.
-        self.ROWS: List[Tuple[Tuple, ...]] = [p.timing_rows for p in plans]
-        self.LOADS: List[int] = [p.load_count for p in plans]
-        self.STORES: List[int] = [p.store_count for p in plans]
 
         self.NROWS = np.zeros(n, np.int64)
         self.NBODY = np.zeros(n, np.int64)  # rows minus a BR terminator
@@ -242,12 +237,10 @@ class TraceArena:
         records = trace.records
         nrec = len(records)
         self.nrec = nrec
-        self.instruction_count = trace.instruction_count
 
         self.RBLK = np.zeros(nrec, np.int64)
         self.REXTRA = np.zeros(nrec, np.int64)
         self.RTAKEN = np.zeros(nrec, np.int64)
-        self.RSEQ0 = np.zeros(nrec, np.int64)
         self.RL0 = np.zeros(nrec, np.int64)
         self.RS0 = np.zeros(nrec, np.int64)
         self.RUNDER = np.zeros(nrec, np.int64)
@@ -277,13 +270,11 @@ class TraceArena:
         gid = parena.gid
         TERM = parena.TERM
         FALL = parena.FALL
-        seq = 0
         nstores = 0
 
         for r, record in enumerate(records):
             b = gid[(record.function, record.block.name)]
             self.RBLK[r] = b
-            self.RSEQ0[r] = seq
             self.RL0[r] = len(load_lat)
             self.RS0[r] = nstores
             self.RNODE[r] = node
@@ -342,7 +333,6 @@ class TraceArena:
                     fifo.append((address, nstores))
                     by_addr.setdefault(address, []).append(nstores)
                     nstores += 1
-            seq += int(parena.NROWS[b])  # the BR terminator retires too
 
             if term == TERM_CALL:
                 if FALL[b] >= 0:

@@ -1,334 +1,33 @@
-"""The vectorized lockstep batch engine (``engine="batch"``).
+"""The batch engine (``engine="batch"``): one native kernel call per cell.
 
-One :class:`_Group` advances many independent simulation cells —
-(program, trace, config, seed) combinations — in lockstep over numpy
-struct-of-arrays.  Each driver iteration advances every live cell by
-exactly one trace record: the per-record arithmetic of
-:class:`repro.uarch.timing.TimingSimulator` (fetch slots, reorder-buffer
-stalls, register dependences, load latencies, retirement) runs once per
-*row position* across all cells instead of once per row per cell.  All
-per-cell architectural state (fetch cycle, fetch slots, register-ready
-times, retirement ring, perceptron weights, JRS counters, BTB seen-bits,
-store-ready times) lives in arrays indexed by cell.
+:func:`run_batch` checks each cell against the kernel's envelope
+(:func:`cell_supported`, then the program arena's BTB check), builds
+the static arenas of :mod:`repro.uarch.batch.arena` once per program
+and once per (trace, warm-up words), and hands every in-envelope cell
+to the C kernel (``kernel.c``, loaded by :mod:`repro.uarch.batch.native`).
+Cells outside the envelope, and every cell when the kernel cannot be
+built, run on the fast engine instead.
 
-Bit-identity contract
----------------------
-
-Every cell's :class:`~repro.uarch.stats.SimStats` equals the reference
-engine's field-for-field (tests/core/test_engine_batch.py).  There is no
-approximation anywhere: the vector body loop replays the reference
-engine's inlined per-row sequence literally (ROB-window stall, slot
-exhaustion, dual-path fetch-width selection, dependence wakeup,
-retirement), with `where` masks in place of branches.
-
-The one deliberately *scalar* piece is the wrong-path walk: when a cell
-mispredicts (or dual-path forks), its walk runs synchronously in plain
-Python — an exact transcription of ``_walk_wrong_path_fast`` — before
-the lockstep loop continues.  Walks touch only the fetch-cycle
-accounting and the speculative global history (never caches, store
-buffer, BTB, RAS or ROB), are rare (one per misprediction), and are
-cheap integer arithmetic; vectorizing them would force every cell to
-wait one driver iteration per walked *block*, which measures far slower
-than stepping the few walking cells inline.
-
-The static tables come from :mod:`repro.uarch.batch.arena`: per-program
-block decode plus a per-trace replay of everything timing-independent
-(icache stalls, load latencies and forwarding sources, store-buffer
-contents, RAS underflows, the architectural call context).
+Bit-identity contract: every cell's :class:`~repro.uarch.stats.SimStats`
+equals the reference engine's field for field, whichever way it ran
+(tests/core/test_engine_batch.py, tests/core/test_golden_stats.py).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.uarch.batch.arena import (
-    JREG,
-    NO_UPC,
-    ZREG,
-    ProgramArena,
-    TraceArena,
-)
-from repro.uarch.batch.horizon import (
-    HorizonIndex,
-    extended_arena,
-    trace_spans,
-)
-from repro.uarch.plan import (
-    KIND_LOAD,
-    KIND_STORE,
-    TERM_BR,
-    TERM_CALL,
-    TERM_JMP,
-    TERM_NONE,
-    TERM_RET,
-)
+from repro.core.cfm import CfmCam
+from repro.uarch.batch import native
+from repro.uarch.batch.arena import ProgramArena, TraceArena
+from repro.uarch.plan import TERM_BR
 from repro.uarch.stats import SimStats
 
-#: Perceptron constants for the default predictor instance the vector
-#: path supports (``make_predictor("perceptron")`` with no overrides).
-_NPERC = 1021
-_HBITS = 31
-_THETA = int(1.93 * _HBITS + 14)  # 73
-_WMAX, _WMIN = 127, -128
-_M31 = (1 << _HBITS) - 1
-#: JRS constants (``make_estimator("jrs")`` table geometry).
-_JTAB = 2048
+#: JRS counter ceiling (``make_estimator("jrs")`` geometry).
 _JMAX = 15
-_JHMASK = 0xF
-#: Walk block guard, mirroring ``_walk_wrong_path_fast``.
-_WALK_GUARD = 10_000
-#: Lookahead window for the control-independence classification.
-_CI_LOOKAHEAD = 32
-#: Active-lane count at which the step loop's per-row numpy dispatch
-#: costs more than a plain-python row, so the remaining lanes finish
-#: their (rare, long) blocks on the scalar row tail instead.
-_TAIL_LANES = 16
-#: Lane width up to which _trace_step pre-gathers the whole ring window
-#: in one rectangular fancy-index (fewer numpy calls); above it, per-row
-#: suffix gathers move strictly fewer elements.
-_RING_PREGATHER = 512
-
-_TRACE, _DONE = 0, 2
-
-#: Episode path outcomes — the ``PathOutcome`` subset the plain dmp/dhp
-#: envelope can produce (no NEW_DIVERGE without multiple_diverge).
-_P_CFM, _P_RESOLVED, _P_EXHAUSTED, _P_LIMIT = 0, 1, 2, 3
-
-
-def _compile_row_loop(rows, nr: int, variant: str, anydp: bool = False):
-    """exec-compile one block's scalar row loop, unrolled.
-
-    The interpreted row loops spend most of their time on bookkeeping
-    the block makes constant: tuple unpacking, the kind dispatch, the
-    source iteration.  Unrolling the ``nr`` rows with those constants
-    folded into the source keeps the statements — and therefore the
-    arithmetic, in the same order on the same ints — identical to the
-    loops this replaces, while roughly halving the per-row cost.
-
-    ``variant="tail"`` is the step loop's scalar row tail (resumable at
-    any starting row ``i0`` via per-row guards); ``variant="ep"`` is an
-    episode's on-trace block (all rows, predicated load/store rules,
-    state carried on the ``_EpState``).
-    """
-    out = []
-    a = out.append
-    # Both variants keep the ring on the numpy row: reads only fire
-    # once the window is full (one scalar gather per row, and rows
-    # written since the write log opened at ``sq0`` are served from the
-    # log), and the writes — consecutive sequence numbers — go back as
-    # one circular span, so a lane never pays to convert or copy the
-    # full ROB.  The tail flushes its span here; an episode's log spans
-    # several calls and is flushed once by ``_dpred_epilogue``.
-    if variant == "tail":
-        a("def _f(i0, l0, s0, cyc, sl, blv, du, wt, hwt, mbt, dept,"
-          " robv, rwt, lastt, cntt, sq0, rr, ring, srd, spr, lfwd,"
-          " llat):")
-        a(" lwc = 0; seq = sq0; wr = []; wa = wr.append")
-    else:
-        a("def _f(st, l0, s0, res, pid, srd, spr, spid, lfwd, llat):")
-        a(" cyc = st.cycle; sl = st.slots; blv = st.bl")
-        a(" du = st.du; wt = st.w; hwt = st.hw; mbt = st.mb")
-        a(" dept = st.depth; robv = st.rob; rwt = st.rw")
-        a(" lastt = st.last; cntt = st.cnt; seq = st.seq")
-        a(" rr = st.rr; ring = st.ring; sq0 = st.seq0")
-        a(" wr = st.wr; wa = wr.append; lwc = 0")
-    for idx in range(nr):
-        kind, lat, _lat1, dest, srcs, lord, stord = rows[idx]
-        p = " "
-        if variant == "tail":
-            a(f" if i0 <= {idx}:")
-            p = "  "
-        a(f"{p}if seq >= robv:")
-        a(f"{p} j = seq - robv")
-        a(f"{p} oldest = wr[j - sq0] if j >= sq0 else ring[j % robv]")
-        a(f"{p} if cyc < oldest:")
-        a(f"{p}  cyc = oldest; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(f"{p}if sl <= 0:")
-        a(f"{p} cyc += 1; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(f"{p}sl -= 1")
-        a(f"{p}base = cyc + dept")
-        for s_ in srcs:
-            a(f"{p}rdy = rr[{s_}]")
-            a(f"{p}if rdy > base: base = rdy")
-        if kind == KIND_LOAD:
-            a(f"{p}fwd = lfwd[l0 + {lord}]")
-            a(f"{p}if fwd >= 0:")
-            if variant == "ep":
-                a(f"{p} pready = int(spr[fwd])")
-                a(f"{p} if base >= pready or spid.get(fwd) == pid:")
-                a(f"{p}  sv = int(srd[fwd])")
-                a(f"{p}  comp = (sv if sv > base else base) + 1")
-                a(f"{p} else:")
-                a(f"{p}  lwc += 1; comp = pready + 2")
-            elif anydp:
-                a(f"{p} if base < spr[fwd]:")
-                a(f"{p}  lwc += 1; comp = int(spr[fwd]) + 2")
-                a(f"{p} else:")
-                a(f"{p}  sv = int(srd[fwd])")
-                a(f"{p}  comp = (sv if sv > base else base) + 1")
-            else:
-                a(f"{p} sv = int(srd[fwd])")
-                a(f"{p} comp = (sv if sv > base else base) + 1")
-            a(f"{p}else:")
-            a(f"{p} comp = base + llat[l0 + {lord}]")
-        elif kind == KIND_STORE:
-            a(f"{p}comp = base + 1")
-            if variant == "ep":
-                a(f"{p}ordn = s0 + {stord}")
-                a(f"{p}srd[ordn] = comp; spr[ordn] = res")
-                a(f"{p}spid[ordn] = pid")
-            else:
-                a(f"{p}srd[s0 + {stord}] = comp")
-        else:
-            a(f"{p}comp = base + {lat}")
-        if dest >= 0:
-            a(f"{p}rr[{dest}] = comp")
-        a(f"{p}rc = comp + 1")
-        a(f"{p}if rc < lastt: rc = lastt")
-        a(f"{p}if rc == lastt and cntt >= rwt: rc += 1")
-        a(f"{p}if rc > lastt: cntt = 1")
-        a(f"{p}else: cntt += 1")
-        a(f"{p}lastt = rc")
-        a(f"{p}wa(rc)")
-        a(f"{p}seq += 1")
-    if variant == "tail":
-        a(" nw = len(wr)")
-        a(" if nw >= robv:")
-        a("  b0 = sq0 + nw - robv")
-        a("  for off in range(robv):")
-        a("   ring[(b0 + off) % robv] = wr[nw - robv + off]")
-        a(" elif nw:")
-        a("  a0 = sq0 % robv")
-        a("  end = a0 + nw")
-        a("  if end <= robv:")
-        a("   ring[a0:end] = wr")
-        a("  else:")
-        a("   ring[a0:robv] = wr[:robv - a0]")
-        a("   ring[:end - robv] = wr[robv - a0:]")
-        a(" return cyc, sl, blv, lastt, cntt, lwc")
-    else:
-        a(" st.cycle = cyc; st.slots = sl; st.bl = blv")
-        a(" st.last = lastt; st.cnt = cntt; st.seq = seq")
-        a(" st.lw += lwc")
-    ns: dict = {}
-    exec("\n".join(out), ns)  # noqa: S102 - self-generated source
-    return ns["_f"]
-
-
-def _compile_static_block(rows, isbr: bool):
-    """exec-compile a predicate-FALSE static block (_ep_static_block).
-
-    Static rows never retire and never touch the ring, so two folds on
-    top of the plain unrolling are sound: rows with no destination
-    compute nothing (their base/completion escape nowhere), and the
-    window-stall test runs once — ``oldest`` is frozen with the
-    sequence number and the cycle only grows, so after the first row
-    the test can never fire again.
-    """
-    out = []
-    a = out.append
-    a("def _f(st, oldest):")
-    a(" cyc = st.cycle; sl = st.slots; blv = st.bl")
-    a(" du = st.du; wt = st.w; hwt = st.hw; mbt = st.mb")
-    a(" dept = st.depth; rr = st.rr")
-    first = True
-    for kind, _lat, lat1, dest, srcs, _lo, _so in (
-        rows[:-1] if isbr else rows
-    ):
-        if first:
-            a(" if cyc < oldest:")
-            a("  cyc = oldest; sl = hwt if cyc <= du else wt; blv = mbt")
-            first = False
-        a(" if sl <= 0:")
-        a("  cyc += 1; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(" sl -= 1")
-        if dest >= 0:
-            a(" base = cyc + dept")
-            for s_ in srcs:
-                a(f" rdy = rr[{s_}]")
-                a(" if rdy > base: base = rdy")
-            a(f" rr[{dest}] = base + {2 if kind == KIND_LOAD else lat1}")
-    if isbr:
-        kind, _lat, lat1, dest, srcs, _lo, _so = rows[-1]
-        if first:
-            a(" if cyc < oldest:")
-            a("  cyc = oldest; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(" if sl <= 0 or blv <= 0:")
-        a("  cyc += 1; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(" blv -= 1")
-        a(" sl -= 1")
-        if dest >= 0:
-            a(" base = cyc + dept")
-            for s_ in srcs:
-                a(f" rdy = rr[{s_}]")
-                a(" if rdy > base: base = rdy")
-            a(f" rr[{dest}] = base + {2 if kind == KIND_LOAD else lat1}")
-    a(" st.cycle = cyc; st.slots = sl; st.bl = blv")
-    ns: dict = {}
-    exec("\n".join(out), ns)  # noqa: S102 - self-generated source
-    return ns["_f"]
-
-
-class _EpState:
-    """One cell's scalar state threaded through a dpred episode.
-
-    The episode transcription (`_Group._dpred_epilogue` and its path
-    fetchers) works on plain-python copies of the cell's fetch
-    accounting and register-ready file — list indexing beats numpy
-    scalar extraction several-fold on these scalar tails — and scatters
-    them back once per episode.  The retirement ring stays on the numpy
-    row (``ring``): the episode's retires land in the ``wr`` write log
-    at consecutive sequence numbers from ``seq0``, window-stall reads
-    past that boundary serve from the log, and the epilogue flushes the
-    log back as one circular span instead of converting the full ROB.
-    ``campcs``/``camlock`` model the episode's CfmCam (lock on first
-    match, both paths share it); the counters are per-episode deltas."""
-
-    __slots__ = (
-        "ci", "cycle", "slots", "bl", "du", "w", "hw", "mb", "depth",
-        "rob", "rw", "stops", "ghr", "rr", "ring", "wr", "last", "cnt",
-        "seq", "seq0", "written", "campcs", "camlock",
-        "fc", "ex", "rb", "mp", "fl", "cd", "pf", "lw",
-    )
-
-
-class _WalkPath:
-    """Structural wrong-path walk shared by every cell on one trace.
-
-    The block sequence a walk visits — and the predictions steering it —
-    depends only on the start block, the history register, the
-    perceptron weights and the reconvergence targets, never on per-cell
-    cycle accounting.  All cells of one trace hold bit-identical
-    predictor state at every step (training is outcome-driven), so on a
-    config-grid sweep the structural walk is computed once and each cell
-    replays only its own slot/cycle arithmetic over the cached blocks.
-    Blocks are appended lazily: a cell with more cycle headroom extends
-    the shared path where the previous cell's replay stopped."""
-
-    __slots__ = (
-        "blocks", "cur", "ghr", "node", "local", "reached", "guard",
-        "reconv", "upcoming", "weights", "replays",
-    )
-
-    def __init__(self, start, ghr, node, reconv, upcoming, weights):
-        self.blocks: List[Tuple[int, bool, bool, bool]] = []
-        self.cur = start
-        self.ghr = ghr
-        self.node = node
-        self.local: List[int] = []
-        self.reached = False
-        self.guard = 0
-        self.reconv = reconv
-        self.upcoming = upcoming
-        self.weights = weights
-        #: (rel, slots, branches, width, maxb) -> (dcycle, cd, ci): the
-        #: replay outcome is a pure function of the *relative* cycle
-        #: budget whenever the fetch-width regime is uniform, and cells
-        #: of a config grid frequently collide on it.
-        self.replays: Dict[tuple, Tuple[int, int, int]] = {}
 
 
 class BatchCell:
@@ -351,7 +50,7 @@ class BatchCell:
 
 
 def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
-    """Whether the vector path can run this cell bit-identically,
+    """Whether the native kernel can run this cell bit-identically,
     judged from its configuration and tracer.
 
     Anything outside the envelope is not an error — ``run_batch`` falls
@@ -366,7 +65,7 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
     if cell.tracer is not None:
         return False, "event tracer attached"
     if config.mode in ("dmp", "dhp"):
-        # Plain dynamic predication vectorizes; each enhancement that
+        # The kernel runs plain dynamic predication; each enhancement it
         # does not is named so the fallback summary can group by it.
         if config.loop_predication:
             return False, "loop predication (loop episodes are scalar-only)"
@@ -381,8 +80,8 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
             return False, "selective predictor update (scalar-only)"
     elif config.mode == "mpp":
         # The learned merge-point table changes between lookups as the
-        # predictor trains; the vector episode path reads each diverge
-        # branch's CFM set once, from the static hint table (_init_dpred).
+        # predictor trains; the kernel reads each diverge branch's CFM
+        # set from the static hint table (_hint_tables).
         return False, "mode 'mpp' (learned merge points are scalar-only)"
     elif config.mode not in ("baseline", "dualpath"):
         return False, f"mode {config.mode!r} (wish branches are scalar-only)"
@@ -417,36 +116,100 @@ def _fallback(cell: BatchCell) -> SimStats:
     )
 
 
+def _jrs_threshold(config) -> int:
+    threshold = config.confidence_args.get("threshold", 12)
+    if threshold is None:
+        return _JMAX
+    return min(threshold, _JMAX)
+
+
+def _hint_tables(parena: ProgramArena, hints, multiple_cfm: bool):
+    """The kernel's per-block diverge-hint tables for one cell.
+
+    ``hinted[b]`` marks a block whose conditional branch opens episodes:
+    its PC has a usable, non-loop hint (the ``_usable_hint`` and
+    ``_maybe_enter_dpred`` checks).  Its episode's initial
+    :class:`~repro.core.cfm.CfmCam` entries are
+    ``cfmpcs[cfmoff[b]:cfmoff[b + 1]]``."""
+    n = parena.n
+    hinted = np.zeros(n, np.int64)
+    cfmoff = np.zeros(n + 1, np.int64)
+    pcs: List[int] = []
+    for b in range(n):
+        if hints is not None and parena.TERM[b] == TERM_BR:
+            pc = int(parena.BRPC[b])
+            hint = hints.get(pc)
+            if (
+                hint is not None and not hint.is_loop and hint.cfm_pcs
+                and pc not in hint.cfm_pcs
+            ):
+                cam = hint.cfm_pcs if multiple_cfm else (hint.primary_cfm,)
+                hinted[b] = 1
+                pcs.extend(CfmCam(cam).entries)
+        cfmoff[b + 1] = len(pcs)
+    return hinted, cfmoff, np.asarray(pcs or [0], np.int64)
+
+
+def _scalars(config) -> Dict[str, int]:
+    return {
+        "dualpath": int(config.mode == "dualpath"),
+        "predicating": int(config.mode in ("dmp", "dhp")),
+        "width": config.fetch_width,
+        "maxb": config.max_branches_per_cycle,
+        "depth": config.pipeline_depth,
+        "rob": config.rob_size,
+        "rw": config.retire_width,
+        "stops": int(config.fetch_stops_at_taken),
+        "thresh": _jrs_threshold(config),
+        "path_limit": config.dpred_path_limit,
+        "keep_predicted_ghr": int(config.dpred_ghr_policy == "predicted"),
+    }
+
+
+def _stats(cell: BatchCell, out: np.ndarray) -> SimStats:
+    stats = SimStats(
+        benchmark=cell.benchmark or cell.trace.program_name,
+        config_description=cell.config.describe(),
+    )
+    values = out.tolist()
+    for name, value in zip(native.STATS_FIELDS, values):
+        setattr(stats, name, value)
+    stats.retired_instructions = cell.trace.instruction_count
+    base = len(native.STATS_FIELDS)
+    for case in range(1, 7):
+        stats.exit_cases[case] += values[base + case]
+    return stats
+
+
 def run_batch(
     cells: List[BatchCell],
     fallback_reasons: Optional[Dict[str, int]] = None,
     profile: Optional[Dict[str, float]] = None,
     gang_stats: Optional[Dict[str, int]] = None,
 ) -> List[SimStats]:
-    """Simulate every cell; vector-eligible cells run in one lockstep
-    group, the rest fall back to the fast engine (bit-identical either
-    way).  Pass a dict as ``fallback_reasons`` to receive a histogram of
-    ``cell_supported`` and program-arena reason strings for the cells
-    that fell off the vector path (the ``run_suite``/CLI fallback
-    summary).
+    """Simulate every cell: in-envelope cells on the native kernel, one
+    call each, the rest on the fast engine (bit-identical either way).
+    Pass a dict as ``fallback_reasons`` to receive a histogram of the
+    reason strings of the cells that fell back — ``cell_supported``'s,
+    the program arena's, or :data:`native.UNAVAILABLE` when the kernel
+    cannot be built (the ``run_suite``/CLI fallback summary).
 
     Every arena is built here, once per distinct program and once per
     distinct (trace, warm words), and dies when the call returns.
 
     ``profile`` (a dict, accumulated into) receives wall-time phase
-    attribution: ``arena_build`` (program and trace arenas, horizon
-    spans, table concatenation), ``step_loop`` (the vector driver),
-    ``episode_tails`` (dpred episodes, one scalar epilogue per lane),
-    ``scalar_walks`` (mispredict/fork wrong-path walks) and
+    attribution: ``arena_build`` (program and trace arenas, hint
+    tables), ``step_loop`` (kernel calls, marshalling included) and
     ``scalar_fallback`` (cells simulated on the fast engine).
 
     ``gang_stats`` is accepted and left untouched (it stays empty).
     It is kept only for the benchmark's traced run
     (``perfbench/layers.py``), which passes it."""
     results: List[Optional[SimStats]] = [None] * len(cells)
-    vec: List[int] = []
     parenas: Dict[int, ProgramArena] = {}  # id(program) -> arena
-    fb_time = build = 0.0
+    tarenas: Dict[Tuple[int, tuple], TraceArena] = {}
+    hint_tables: Dict[Tuple[int, int, bool], tuple] = {}
+    build = kernel_time = fallback_time = 0.0
     for i, cell in enumerate(cells):
         ok, reason = cell_supported(cell)
         if ok:
@@ -458,1718 +221,48 @@ def run_batch(
                 )
             build += perf_counter() - t0
             ok, reason = parena.vector_ok, parena.reason
-        if ok:
-            vec.append(i)
-        else:
+        kernel = native.load() if ok else None
+        if ok and kernel is None:
+            ok, reason = False, native.UNAVAILABLE
+        if not ok:
             if fallback_reasons is not None:
                 fallback_reasons[reason] = (
                     fallback_reasons.get(reason, 0) + 1
                 )
             t0 = perf_counter()
             results[i] = _fallback(cell)
-            fb_time += perf_counter() - t0
-    run_time = ep = wk = 0.0
-    if vec:
+            fallback_time += perf_counter() - t0
+            continue
         t0 = perf_counter()
-        group = _Group([cells[i] for i in vec], parenas)
-        build += perf_counter() - t0
-        t0 = perf_counter()
-        out = group.run()
-        run_time = perf_counter() - t0
-        for i, stats in zip(vec, out):
-            results[i] = stats
-        ep = group._prof["episode_tails"]
-        wk = group._prof["scalar_walks"]
+        # The warm-up words set the L2 image the trace replay starts from.
+        warm = tuple(cell.warm_words) if cell.warm_words else ()
+        tkey = (id(cell.trace), warm)
+        tarena = tarenas.get(tkey)
+        if tarena is None:
+            tarena = tarenas[tkey] = TraceArena(
+                parena, cell.program, cell.trace, warm
+            )
+        config = cell.config
+        predicating = config.mode in ("dmp", "dhp")
+        hkey = (
+            id(parena), id(cell.hints) if predicating else 0,
+            predicating and config.multiple_cfm,
+        )
+        tables = hint_tables.get(hkey)
+        if tables is None:
+            tables = hint_tables[hkey] = _hint_tables(
+                parena, cell.hints if predicating else None, hkey[2]
+            )
+        t1 = perf_counter()
+        build += t1 - t0
+        out = kernel.run_cell(parena, tarena, tables, _scalars(config))
+        results[i] = _stats(cell, out)
+        kernel_time += perf_counter() - t1
     if profile is not None:
         for key, val in (
             ("arena_build", build),
-            ("step_loop", run_time - ep - wk),
-            ("episode_tails", ep),
-            ("scalar_walks", wk),
-            ("scalar_fallback", fb_time),
+            ("step_loop", kernel_time),
+            ("scalar_fallback", fallback_time),
         ):
             profile[key] = profile.get(key, 0.0) + val
     return results  # type: ignore[return-value]
-
-
-def _jrs_threshold(config) -> int:
-    threshold = config.confidence_args.get("threshold", 12)
-    if threshold is None:
-        return _JMAX
-    return min(threshold, _JMAX)
-
-
-class _Group:
-    """All vector-eligible cells, advanced in lockstep."""
-
-    def __init__(self, cells: List[BatchCell],
-                 parenas: Dict[int, ProgramArena]) -> None:
-        self.cells = cells
-        n = len(cells)
-        self.n = n
-        i8 = np.int64
-
-        # -- shared static tables (concatenated across programs/traces)
-        # Pass 1: trace arenas + horizon span tables.  trace_spans
-        # interns each trace's quiet-run macro blocks into its program's
-        # horizon index, so the extended block space is known before
-        # group offsets are assigned.
-        indexes: Dict[int, HorizonIndex] = {}  # id(parena) -> index
-        raw_list: List[ProgramArena] = []
-        cell_pa: List[ProgramArena] = []
-        cell_ta: List[TraceArena] = []
-        tarenas_by_key: Dict[Tuple[int, tuple], TraceArena] = {}
-        t_spans: Dict[int, Any] = {}
-        for cell in cells:
-            pa = parenas[id(cell.program)]
-            if id(pa) not in indexes:
-                indexes[id(pa)] = HorizonIndex()
-                raw_list.append(pa)
-            # The warm-up words set the L2 image the replay starts from.
-            warm = tuple(cell.warm_words) if cell.warm_words else ()
-            key = (id(cell.trace), warm)
-            ta = tarenas_by_key.get(key)
-            if ta is None:
-                ta = tarenas_by_key[key] = TraceArena(
-                    pa, cell.program, cell.trace, warm
-                )
-                t_spans[id(ta)] = trace_spans(pa, ta, indexes[id(pa)])
-            cell_pa.append(pa)
-            cell_ta.append(ta)
-        rawL = max(pa.L for pa in raw_list)
-
-        # Pass 2: offsets over the extended (blocks + span macros)
-        # space.  p_list holds ProgramArena-shaped views; every
-        # concatenation below reads them exactly like raw arenas.
-        exts: Dict[int, Tuple[Any, int]] = {}
-        tarenas: Dict[int, Tuple[TraceArena, int, int, int, int]] = {}
-        p_list: List[Any] = []
-        t_list: List[Tuple[TraceArena, int]] = []  # (tarena, boff)
-        boffs = np.zeros(n, i8)
-        roffs = np.zeros(n, i8)
-        rends = np.zeros(n, i8)
-        loffs = np.zeros(n, i8)
-        noffs = np.zeros(n, i8)
-        nblk = nrec = nload = nnode = 0
-        for pa in raw_list:
-            ext = extended_arena(pa, indexes[id(pa)])
-            exts[id(pa)] = (ext, nblk)
-            p_list.append(ext)
-            nblk += ext.n
-        for ci, cell in enumerate(cells):
-            boff = exts[id(cell_pa[ci])][1]
-            ta = cell_ta[ci]
-            tkey = id(ta)
-            if tkey not in tarenas:
-                tarenas[tkey] = (ta, nrec, nload, nnode, boff)
-                t_list.append((ta, boff))
-                nrec += ta.nrec
-                nload += ta.nloads
-                nnode += ta.nnodes
-            _, roff, loff, noff, _ = tarenas[tkey]
-            boffs[ci] = boff
-            roffs[ci] = roff
-            rends[ci] = roff + ta.nrec
-            loffs[ci] = loff
-            noffs[ci] = noff
-        # Per-cell extended block counts (for _init_dpred's hint scan).
-        self.pblkn = [exts[id(pa)][0].n for pa in cell_pa]
-
-        L = max(pa.L for pa in p_list)
-        K = max(pa.K for pa in p_list)
-        self.L, self.K = L, K
-
-        def cat1(name, fill=0):
-            out = np.full(nblk, fill, i8)
-            pos = 0
-            for pa in p_list:
-                out[pos:pos + pa.n] = getattr(pa, name)
-                pos += pa.n
-            return out
-
-        def cat_gid(name):
-            # Successor gids: offset valid entries into group block space.
-            out = np.full(nblk, -1, i8)
-            pos = 0
-            for pa in p_list:
-                local = getattr(pa, name)
-                out[pos:pos + pa.n] = np.where(local >= 0, local + pos, -1)
-                pos += pa.n
-            return out
-
-        self.NROWS = cat1("NROWS")
-        self.NBODY = cat1("NBODY")
-        self.FPC = cat1("FPC")
-        self.TERM = cat1("TERM")
-        self.TAKEN = cat_gid("TAKEN")
-        self.FALL = cat_gid("FALL")
-        self.TARGET = cat_gid("TARGET")
-        self.CALLEE = cat_gid("CALLEE")
-        self.SITE = cat1("SITE", -1)
-        self.PCT = cat1("PCT")
-        self.JPC = cat1("JPC")
-        self.BRPC = cat1("BRPC", -1)
-        self.RECONV = cat1("RECONV")
-        self.BRLAT = cat1("BRLAT")
-        self.BRSRC = np.full((nblk, K), ZREG, i8)
-        self.RKIND = np.zeros((nblk, L), i8)
-        self.RLAT = np.zeros((nblk, L), i8)
-        self.RDEST = np.full((nblk, L), JREG, i8)
-        self.RSRC = np.full((nblk, L, K), ZREG, i8)
-        self.RLORD = np.full((nblk, L), -1, i8)
-        self.RSTORD = np.full((nblk, L), -1, i8)
-        pos = 0
-        for pa in p_list:
-            self.BRSRC[pos:pos + pa.n, :pa.K] = pa.BRSRC
-            self.RKIND[pos:pos + pa.n, :pa.L] = pa.RKIND
-            self.RLAT[pos:pos + pa.n, :pa.L] = pa.RLAT
-            self.RDEST[pos:pos + pa.n, :pa.L] = pa.RDEST
-            self.RSRC[pos:pos + pa.n, :pa.L, :pa.K] = pa.RSRC
-            self.RLORD[pos:pos + pa.n, :pa.L] = pa.RLORD
-            self.RSTORD[pos:pos + pa.n, :pa.L] = pa.RSTORD
-            pos += pa.n
-        # Decode-table values are register names / opcode kinds (<= 33):
-        # 1-byte lanes quarter the gather traffic of the per-row loop.
-        self.RKIND = self.RKIND.astype(np.int8)
-        self.RDEST = self.RDEST.astype(np.int8)
-        self.RSRC = self.RSRC.astype(np.int8)
-        self.BRSRC = self.BRSRC.astype(np.int8)
-        # Per-(block, row) presence bits — src slot j occupied -> bit j,
-        # load -> bit K, store -> bit K+1.  The step loop ORs these over
-        # the active lanes in one reduction instead of scanning each
-        # gathered decode column per row (pads are KIND_ALU/ZREG, so a
-        # padding row contributes no bits).
-        pres = np.zeros((nblk, L), i8)
-        for j in range(K):
-            pres |= (self.RSRC[:, :, j] != ZREG).astype(i8) << j
-        pres |= (self.RKIND == KIND_LOAD).astype(i8) << K
-        pres |= (self.RKIND == KIND_STORE).astype(i8) << (K + 1)
-        self.PRES = pres
-
-        self.RECBLK = np.zeros(nrec, i8)
-        # Horizon span lookup: the block to *fetch* at each record (the
-        # record's own, or a span macro covering a quiet run), and the
-        # record index where that fetch lands the cursor.
-        self.SPANBLK = np.zeros(nrec, i8)
-        self.SPANLAST = np.zeros(nrec, i8)
-        self.REXTRA = np.zeros(nrec, i8)
-        self.RTAKEN = np.zeros(nrec, i8)
-        self.RSEQ0 = np.zeros(nrec, i8)
-        self.RL0 = np.zeros(nrec, i8)
-        self.RS0 = np.zeros(nrec, i8)
-        self.RUNDER = np.zeros(nrec, i8)
-        self.RNODE = np.full(nrec, -1, i8)
-        self.RFPC = np.full(nrec, NO_UPC, i8)
-        self.LLAT = np.zeros(max(nload, 1), i8)
-        self.LFWD = np.full(max(nload, 1), -1, i8)
-        self.NODEPAR = np.full(max(nnode, 1), -1, i8)
-        self.NODERET = np.full(max(nnode, 1), -1, i8)
-        rpos = lpos = npos = 0
-        for ta, boff in t_list:
-            sl = slice(rpos, rpos + ta.nrec)
-            self.RECBLK[sl] = ta.RBLK + boff
-            spans = t_spans[id(ta)]
-            self.SPANBLK[sl] = spans.SPANBLK + boff
-            self.SPANLAST[sl] = spans.SPANLAST + rpos
-            self.REXTRA[sl] = ta.REXTRA
-            self.RTAKEN[sl] = ta.RTAKEN
-            self.RSEQ0[sl] = ta.RSEQ0
-            self.RL0[sl] = ta.RL0 + lpos
-            self.RS0[sl] = ta.RS0
-            self.RUNDER[sl] = ta.RUNDER
-            self.RNODE[sl] = np.where(ta.RNODE >= 0, ta.RNODE + npos, -1)
-            self.RFPC[sl] = ta.RFPC
-            self.LLAT[lpos:lpos + ta.nloads] = ta.LLAT
-            self.LFWD[lpos:lpos + ta.nloads] = ta.LFWD
-            if ta.nnodes:
-                nsl = slice(npos, npos + ta.nnodes)
-                self.NODEPAR[nsl] = np.where(
-                    ta.NODEPAR >= 0, ta.NODEPAR + npos, -1
-                )
-                self.NODERET[nsl] = ta.NODERET + boff
-            rpos += ta.nrec
-            lpos += ta.nloads
-            npos += ta.nnodes
-
-        # -- per-cell configuration
-        cfg = [c.config for c in cells]
-        self.width = np.array([c.fetch_width for c in cfg], i8)
-        self.halfw = np.maximum(1, self.width // 2)
-        self.maxb = np.array([c.max_branches_per_cycle for c in cfg], i8)
-        self.depth = np.array([c.pipeline_depth for c in cfg], i8)
-        self.rw = np.array([c.retire_width for c in cfg], i8)
-        self.rob = np.array([c.rob_size for c in cfg], i8)
-        self.stops = np.array(
-            [int(c.fetch_stops_at_taken) for c in cfg], i8
-        )
-        self.isdual = np.array([c.mode == "dualpath" for c in cfg], bool)
-        self.ispred = np.array(
-            [c.mode in ("dmp", "dhp") for c in cfg], bool
-        )
-        self.anydp = bool(self.ispred.any())
-        self.thresh = np.array([_jrs_threshold(c) for c in cfg], i8)
-        self.boffs, self.roffs, self.rends = boffs, roffs, rends
-        self.loffs, self.noffs = loffs, noffs
-
-        # -- mutable per-cell state
-        maxrob = int(self.rob.max())
-        self.maxrob = maxrob
-        maxstores = max([ta.nstores for ta, _ in t_list] + [0])
-        self.sjunk = maxstores
-        self.cycle = np.zeros(n, i8)
-        self.slots = self.width.copy()
-        self.branches = self.maxb.copy()
-        self.dual = np.full(n, -1, i8)
-        self.last = np.zeros(n, i8)
-        self.cnt = np.zeros(n, i8)
-        self.ghr = np.zeros(n, i8)
-        self.cursor = roffs.copy()
-        self.state = np.where(roffs < rends, _TRACE, _DONE).astype(i8)
-        self.RR = np.zeros((n, JREG + 1), i8)
-        self.RING = np.zeros((n, maxrob + 1), i8)
-        self.SREADY = np.zeros((n, maxstores + 1), i8)
-        # Predicated-store state (dmp/dhp episodes only): the cycle each
-        # store's guarding predicate resolves, by global store ordinal.
-        # 0 is the "not predicated / resolved" sentinel — real episode
-        # resolutions are always > 0 — so the vector load rule
-        # ``base >= pready ? forward : wait`` degenerates to the plain
-        # forward for every main-path store.
-        self.SPREADYP = np.zeros((n, maxstores + 1), i8)
-        self.spid: List[Dict[int, int]] = [{} for _ in range(n)]
-        self.pcnt = [0] * n
-        self.W = np.zeros((n, _NPERC, _HBITS + 1), np.int16)
-        self.JRS = np.zeros((n, _JTAB), np.int16)
-        nsites = max(pa.nsites for pa in p_list)
-        self.sitejunk = nsites
-        self.BTBSEEN = np.zeros((n, nsites + 1), bool)
-        # stats counters
-        self.FC = np.zeros(n, i8)
-        self.EX = np.zeros(n, i8)
-        self.RB = np.zeros(n, i8)
-        self.MP = np.zeros(n, i8)
-        self.FL = np.zeros(n, i8)
-        self.CD = np.zeros(n, i8)
-        self.CI = np.zeros(n, i8)
-        self.FORKS = np.zeros(n, i8)
-        # dmp/dhp episode counters (all zero for other modes).
-        self.DPE = np.zeros(n, i8)
-        self.XU = np.zeros(n, i8)
-        self.SU = np.zeros(n, i8)
-        self.PF = np.zeros(n, i8)
-        self.LW = np.zeros(n, i8)
-        self.EC = np.zeros((n, 7), i8)  # Table 1 exit cases, keys 1..6
-
-        # Python-native copies of every table the scalar epilogue/walk
-        # path touches: list indexing is ~5x cheaper than numpy scalar
-        # extraction, and the walks are the only per-cell (rather than
-        # per-step) cost the engine has left.
-        self.pNROWS = self.NROWS.tolist()
-        self.pFPC = self.FPC.tolist()
-        self.pTERM = self.TERM.tolist()
-        self.pTAKEN = self.TAKEN.tolist()
-        self.pFALL = self.FALL.tolist()
-        self.pTARGET = self.TARGET.tolist()
-        self.pCALLEE = self.CALLEE.tolist()
-        self.pPCT = self.PCT.tolist()
-        self.pRECONV = self.RECONV.tolist()
-        self.pNODERET = self.NODERET.tolist()
-        self.pNODEPAR = self.NODEPAR.tolist()
-        self.pRFPC = self.RFPC.tolist()
-        self.pRNODE = self.RNODE.tolist()
-        self.prends = self.rends.tolist()
-        self.pwidth = self.width.tolist()
-        self.phalfw = self.halfw.tolist()
-        self.pmaxb = self.maxb.tolist()
-        self.pstops = self.stops.tolist()
-        self.pRL0 = self.RL0.tolist()
-        self.pRS0 = self.RS0.tolist()
-        self.pLLAT = self.LLAT.tolist()
-        self.pLFWD = self.LFWD.tolist()
-        # Per-block row tuples: (kind, latency, max(latency, 1),
-        # dest or -1, srcs, load ordinal, store ordinal) — the scalar
-        # BlockPlan row with the JREG/ZREG vector padding stripped, for
-        # the step loop's scalar row tail and the dpred episodes.
-        rk = self.RKIND.tolist()
-        rl = self.RLAT.tolist()
-        rd = self.RDEST.tolist()
-        rs = self.RSRC.tolist()
-        lo = self.RLORD.tolist()
-        so = self.RSTORD.tolist()
-        self.pROWS = [
-            [
-                (
-                    rk[gb][i],
-                    rl[gb][i],
-                    rl[gb][i] if rl[gb][i] > 1 else 1,
-                    rd[gb][i] if rd[gb][i] < ZREG else -1,
-                    tuple(s for s in rs[gb][i] if s != ZREG),
-                    lo[gb][i],
-                    so[gb][i],
-                )
-                for i in range(self.pNROWS[gb])
-            ]
-            for gb in range(nblk)
-        ]
-        # Registers a block renames (for the episodes' select-uop set:
-        # one update per block instead of one set.add per row).
-        self.pDESTS = [
-            tuple({r[3] for r in rows if r[3] >= 0}) for rows in self.pROWS
-        ]
-        # Ring reads within one step are static (no row this step can
-        # rewrite a slot a later row reads) whenever the step's row
-        # count fits the smallest ROB — a per-step test in _trace_step
-        # against this bound, so one rare long block (or a span macro)
-        # can't push every step onto the masked per-row path.
-        self.rob_min = int(self.rob.min())
-        # Cells sharing a trace arena share its record offset; that
-        # offset keys the per-step structural walk cache (_WalkPath).
-        self.ptgid = self.roffs.tolist()
-        self._walk_cache: Dict[tuple, _WalkPath] = {}
-        # Per-block compiled row loops (see _compile_row_loop), built
-        # lazily for blocks the scalar tail / episodes actually touch.
-        self._tailfns: Dict[int, Any] = {}
-        self._epfns: Dict[int, Any] = {}
-        self._stfns: Dict[int, Any] = {}
-        # Weight-divergence epochs.  Cells over one trace keep identical
-        # predictor state (weights, GHR, JRS) until a dpred episode's
-        # *outcome* first differs between them — training inputs are
-        # trace-determined, and an episode's training is pinned by its
-        # inputs plus (exit case, continuation, outgoing GHR).  Each
-        # episode therefore chains an interned signature into the cell's
-        # epoch; equal epochs mean bit-equal predictor state, letting
-        # predicated cells share structural walks just like plain ones.
-        self.pepoch = [0] * n
-        self._episigs: Dict[tuple, int] = {}
-        # Wall-time phase attribution for ``run_batch(profile=...)``:
-        # the scalar-tail sections are timed in place (two clock reads
-        # per resolution step at most), the step loop by subtraction.
-        self._prof = {"episode_tails": 0.0, "scalar_walks": 0.0}
-
-        # 4-byte timing lanes.  One instruction can push the fetch
-        # cycle forward by at most depth + max-latency + 2, so a loose
-        # per-cell bound on the final cycle is records * rows * that;
-        # when it clears int32 (any realistic trace does, by orders of
-        # magnitude) the timing state and latency tables shrink to
-        # 4 bytes, halving the memory traffic of the per-row vector
-        # work — which is where the engine spends its time at scale.
-        # Index/identity arrays (cursors, ring indices, ghr) stay int64.
-        maxlat = int(max(
-            self.RLAT.max(), self.BRLAT.max(), self.LLAT.max()
-        ))
-        step = int(self.depth.max()) + maxlat + 2
-        # rawL, not the macro-extended L: a span macro's rows cover as
-        # many records as the span merged, so per *record* the raw
-        # maximum still bounds the advance (and the final cycle is
-        # unchanged by construction).
-        bound = int((rends - roffs).max()) * (
-            (rawL + 2) * step
-            + int(self.REXTRA.max()) + int(self.RUNDER.max()) * step + 2
-        )
-        if self.anydp:
-            # A dpred episode can overshoot its record's own accounting
-            # by at most one more block + redirect tail before the
-            # resolution check stops the path: double the slack.
-            bound *= 2
-        if 0 < bound < 2**31 - 2:
-            for name in (
-                "RLAT", "BRLAT", "LLAT", "REXTRA", "RUNDER",
-                "width", "halfw", "maxb", "depth", "rw", "stops",
-                "cycle", "slots", "branches", "dual", "last", "cnt",
-                "RR", "RING", "SREADY", "SPREADYP",
-            ):
-                setattr(self, name, getattr(self, name).astype(np.int32))
-
-        # -- dynamic-predication static tables (dmp/dhp cells only)
-        self.pispred = self.ispred.tolist()
-        self.HASH = np.zeros((n, max(nblk, 1)), bool)
-        self.cfms: List[Dict[int, tuple]] = [{} for _ in range(n)]
-        if self.anydp:
-            self._init_dpred(cells, cfg, nblk)
-
-    def _init_dpred(self, cells, cfg, nblk: int) -> None:
-        """Static tables for the dmp/dhp episode transcription.
-
-        ``HASH[ci, gb]`` marks the diverge branches cell ``ci`` may
-        predicate: block ``gb`` ends in a conditional branch whose PC has
-        a non-loop entry in the cell's hint table (the scalar
-        ``_maybe_enter_dpred`` hash lookup, hoisted to init time).
-        ``cfms[ci][gb]`` is the episode's CFM-CAM content for that
-        branch.  The python-native row tables mirror the walk-path
-        rationale above: episodes are scalar tails, and list indexing
-        beats numpy scalar extraction several-fold there."""
-        pBRPC = self.BRPC.tolist()
-        for ci, cell in enumerate(cells):
-            if not self.pispred[ci] or cell.hints is None:
-                continue
-            config = cfg[ci]
-            b0 = int(self.boffs[ci])
-            # Extended range: a span macro ending in a hinted diverge
-            # branch enters episodes exactly like its final raw block
-            # (its BRPC *is* that block's).
-            for lb in range(self.pblkn[ci]):
-                gb = b0 + lb
-                if self.pTERM[gb] != TERM_BR:
-                    continue
-                hint = cell.hints.get(pBRPC[gb])
-                if hint is None or hint.is_loop:
-                    continue  # loop hints are scalar-only (envelope)
-                self.HASH[ci, gb] = True
-                if config.multiple_cfm:
-                    self.cfms[ci][gb] = tuple(hint.cfm_pcs)[:8]
-                else:
-                    self.cfms[ci][gb] = (hint.primary_cfm,)
-        self.pdepth = self.depth.tolist()
-        self.prob = self.rob.tolist()
-        self.prw = self.rw.tolist()
-        self.pSITE = self.SITE.tolist()
-        self.pNBODY = self.NBODY.tolist()
-        self.pBRLAT = self.BRLAT.tolist()
-        self.pJPC = self.JPC.tolist()
-        self.pRECBLK = self.RECBLK.tolist()
-        self.pREXTRA = self.REXTRA.tolist()
-        self.pRTAKEN = self.RTAKEN.tolist()
-        self.pRSEQ0 = self.RSEQ0.tolist()
-        self.pRUNDER = self.RUNDER.tolist()
-        self.pBRSRC = [
-            tuple(s for s in row if s != ZREG)
-            for row in self.BRSRC.tolist()
-        ]
-        self.pplimit = [c.dpred_path_limit for c in cfg]
-        self.pghrpred = [
-            c.dpred_ghr_policy == "predicted" for c in cfg
-        ]
-
-    # ------------------------------------------------------------------
-    # Driver
-    # ------------------------------------------------------------------
-
-    def run(self) -> List[SimStats]:
-        state = self.state
-        while True:
-            vc = np.nonzero(state == _TRACE)[0]
-            if not vc.size:
-                break
-            self._trace_step(vc)
-        return self._finalize()
-
-    def _finalize(self) -> List[SimStats]:
-        cycles = np.maximum(self.last, self.cycle)
-        out = []
-        for ci, cell in enumerate(self.cells):
-            stats = SimStats(
-                benchmark=cell.benchmark or cell.trace.program_name,
-                config_description=cell.config.describe(),
-            )
-            stats.cycles = int(cycles[ci])
-            stats.retired_instructions = cell.trace.instruction_count
-            stats.retired_branches = int(self.RB[ci])
-            stats.mispredictions = int(self.MP[ci])
-            stats.pipeline_flushes = int(self.FL[ci])
-            stats.fetched_correct = int(self.FC[ci])
-            stats.fetched_wrong_cd = int(self.CD[ci])
-            stats.fetched_wrong_ci = int(self.CI[ci])
-            stats.executed_instructions = int(self.EX[ci])
-            stats.dualpath_forks = int(self.FORKS[ci])
-            stats.dpred_entries = int(self.DPE[ci])
-            stats.extra_uops = int(self.XU[ci])
-            stats.select_uops = int(self.SU[ci])
-            stats.predicated_false_instructions = int(self.PF[ci])
-            stats.load_wait_on_predicate = int(self.LW[ci])
-            ec = self.EC[ci]
-            for case in range(1, 7):
-                if ec[case]:
-                    stats.exit_cases[case] += int(ec[case])
-            out.append(stats)
-        return out
-
-    # ------------------------------------------------------------------
-    # TRACE step: one record per cell
-    # ------------------------------------------------------------------
-
-    def _trace_step(self, vc: np.ndarray) -> None:
-        cur = self.cursor[vc]
-        # Horizon skip-ahead: fetch the span block covering the quiet
-        # run starting at the cursor (the record's own block outside any
-        # span).  All row-position state below (seq0, load/store bases,
-        # icache stall) belongs to the span *start*; everything about
-        # the terminator (taken bit, RAS underflow, call node, cursor
-        # advance) belongs to the span *end* record ``cure``.
-        b = self.SPANBLK[cur]
-        cure = self.SPANLAST[cur]
-        k = self.NBODY[b]
-        # Sort lanes by body length: every per-row op below then runs on
-        # exactly the suffix of lanes whose record still has row i, so
-        # the loop performs sum(k) lane-row updates instead of kmax * m
-        # masked ones (mixed traces make kmax ~3x the mean k), and no
-        # activity masks or junk scatter columns are needed at all.
-        if vc.size > 1:
-            order = np.argsort(k, kind="stable")
-            vc = vc[order]
-            cur = cur[order]
-            cure = cure[order]
-            b = b[order]
-            k = k[order]
-        extra = self.REXTRA[cur]
-        c = self.cycle[vc]
-        s = self.slots[vc]
-        bl = self.branches[vc]
-        d = self.dual[vc]
-        w = self.width[vc]
-        hw = self.halfw[vc]
-        mb = self.maxb[vc]
-        dep = self.depth[vc]
-        rob = self.rob[vc]
-        rw = self.rw[vc]
-        last = self.last[vc]
-        cnt = self.cnt[vc]
-        seq0 = self.RSEQ0[cur]
-        isbr = self.TERM[b] == TERM_BR
-
-        # Inlined _advance_fetch_cycle(cycle + extra) for the icache
-        # stall (extra >= 10 when it fires, so max(cycle+1, ...) is it).
-        icadv = extra > 0
-        c = np.where(icadv, c + extra, c)
-        s = np.where(icadv, np.where(c <= d, hw, w), s)
-        bl = np.where(icadv, mb, bl)
-
-        # -- body rows: the reference's inlined per-row sequence, with
-        # lane-suffix views in place of branches.  All rows at position
-        # i across the cells that have one advance together; the ring
-        # reads this record makes were written >= rob_size instructions
-        # ago whenever every ROB is at least one block deep
-        # (ring_static), so no occupancy test is needed — unwritten
-        # slots hold 0 and cycles are never negative.
-        kmax = int(k[-1]) if k.size else 0
-        any_dual = bool((d >= 0).any())
-        m = vc.size
-        i0 = kmax
-        if kmax:
-            pos = np.searchsorted(
-                k, np.arange(kmax, dtype=np.int64), side="right"
-            ).tolist()
-            # Scalar row tail: past row i0 the active-lane suffix is so
-            # narrow that numpy dispatch costs more than plain python.
-            # Long blocks are rare but their rows dominate the loop's
-            # iteration count, so the few lanes still fetching past i0
-            # finish their block scalar — the same inlined per-row
-            # sequence on ints, bit for bit.
-            while i0 > 0 and m - pos[i0 - 1] <= _TAIL_LANES:
-                i0 -= 1
-        if i0:
-            rob_live = int((seq0 + k).max()) >= int(rob.min())
-            ring_static = kmax <= self.rob_min
-            l0 = self.RL0[cur]
-            st0 = self.RS0[cur]
-            # One fancy gather per static table; the loop reads column
-            # views.  Row-presence flags over the full column equal the
-            # active-suffix flags because the table pads (KIND_ALU,
-            # ZREG) can never flag a lane.
-            rows = np.arange(i0, dtype=np.int64)
-            if rob_live:
-                seq_mod = (seq0[None, :] + rows[:, None]) % rob[None, :]
-            else:
-                seq_mod = seq0[None, :] + rows[:, None]
-            # Ring-read strategy under the static window: one
-            # rectangular pre-gather amortizes call overhead at narrow
-            # widths, but wastes element work at wide ones (i0 * m can
-            # run ~5x the true suffix sum when row counts are skewed),
-            # so wide steps gather each row's live suffix lazily.
-            ringm = None
-            if rob_live and ring_static and m <= _RING_PREGATHER:
-                ringm = self.RING[vc[None, :], seq_mod]
-            RKb = self.RKIND[b, :i0]
-            RLb = self.RLAT[b, :i0]
-            RDb = self.RDEST[b, :i0]
-            Sb = self.RSRC[b, :i0]
-            presrow = np.bitwise_or.reduce(
-                self.PRES[b, :i0], axis=0
-            ).tolist()
-            ldbit = 1 << self.K
-            stbit = ldbit << 1
-            if any(pr & ldbit for pr in presrow):
-                LOb = self.RLORD[b, :i0]
-            if any(pr & stbit for pr in presrow):
-                STOb = self.RSTORD[b, :i0]
-        for i in range(i0):
-            p = pos[i]
-            cv = c[p:]
-            sv = s[p:]
-            blv = bl[p:]
-            dv = d[p:]
-            wv = w[p:]
-            hwv = hw[p:]
-            mbv = mb[p:]
-            vcv = vc[p:]
-            if rob_live:
-                if ringm is not None:
-                    ring = ringm[i, p:]
-                elif ring_static:
-                    # No occupancy mask needed: below the static bound
-                    # an unoccupied slot can have had no same-step
-                    # writer, still holds its initial 0, and 0 can
-                    # never stall a non-negative cycle.
-                    ring = self.RING[vcv, seq_mod[i, p:]]
-                else:
-                    occ = seq0[p:] + i >= rob[p:]
-                    ring = np.where(
-                        occ, self.RING[vcv, seq_mod[i, p:]], 0
-                    )
-                stall = cv < ring
-                if stall.any():
-                    np.copyto(cv, ring, where=stall)
-                    if any_dual:
-                        np.copyto(
-                            sv, np.where(cv <= dv, hwv, wv), where=stall
-                        )
-                    else:
-                        np.copyto(sv, wv, where=stall)
-                    np.copyto(blv, mbv, where=stall)
-            nos = sv <= 0
-            cv += nos
-            if any_dual:
-                np.copyto(sv, np.where(cv <= dv, hwv, wv), where=nos)
-            else:
-                np.copyto(sv, wv, where=nos)
-            np.copyto(blv, mbv, where=nos)
-            sv -= 1
-            ready = None
-            pres = presrow[i]
-            for j in range(self.K):
-                if pres >> j & 1:
-                    r = self.RR[vcv, Sb[p:, i, j]]
-                    if ready is None:
-                        ready = r
-                    else:
-                        np.maximum(ready, r, out=ready)
-            if ready is None:
-                base = cv + dep[p:]
-            else:
-                base = np.maximum(ready, cv + dep[p:], out=ready)
-            comp = base + RLb[p:, i]
-            if pres & ldbit:
-                isld = RKb[p:, i] == KIND_LOAD
-                lidx = l0[p:] + LOb[p:, i]
-                fwd = self.LFWD[lidx]
-                hasf = fwd >= 0
-                fcol = np.where(hasf, fwd, self.sjunk)
-                sready = self.SREADY[vcv, fcol]
-                fcomp = np.maximum(base, sready) + 1
-                if self.anydp:
-                    # Forwarding from a store whose guarding predicate
-                    # is still unresolved at fetch waits for it instead
-                    # (main-path loads carry no predicate, so the
-                    # pid-match forward can never apply here).
-                    pready = self.SPREADYP[vcv, fcol]
-                    wait = isld & hasf & (base < pready)
-                    if wait.any():
-                        np.copyto(fcomp, pready + 2, where=base < pready)
-                        self.LW[vcv[wait]] += 1
-                comp = np.where(
-                    isld,
-                    np.where(hasf, fcomp, base + self.LLAT[lidx]),
-                    comp,
-                )
-            if pres & stbit:
-                isst = RKb[p:, i] == KIND_STORE
-                np.copyto(comp, base + 1, where=isst)
-                scol = np.where(isst, st0[p:] + STOb[p:, i], self.sjunk)
-                self.SREADY[vcv, scol] = comp
-            self.RR[vcv, RDb[p:, i]] = comp
-            # _retire, vectorized over the active suffix.
-            lastv = last[p:]
-            cntv = cnt[p:]
-            # rc = max(comp+1, last), bumped a cycle when it lands on
-            # last with the retire port full (cnt >= rw) — folding the
-            # bump into the max's second operand is the same function.
-            comp += 1
-            rc = np.maximum(comp, lastv + (cntv >= rw[p:]), out=comp)
-            adv = rc > lastv
-            cntv += 1
-            np.copyto(cntv, 1, where=adv)
-            np.copyto(lastv, rc)
-            self.RING[vcv, seq_mod[i, p:]] = rc
-        if i0 < kmax:
-            anydp = self.anydp
-            pLFWD = self.pLFWD
-            pLLAT = self.pLLAT
-            pRL0 = self.pRL0
-            pRS0 = self.pRS0
-            SREADY = self.SREADY
-            SPREADYP = self.SPREADYP if anydp else None
-            fns = self._tailfns
-            for t in range(pos[i0], m):
-                ci = int(vc[t])
-                bt = int(b[t])
-                fn = fns.get(bt)
-                if fn is None:
-                    fn = fns[bt] = _compile_row_loop(
-                        self.pROWS[bt], int(k[t]), "tail", anydp
-                    )
-                curt = int(cur[t])
-                rr = self.RR[ci].tolist()
-                cyc, sl, blv, lastt, cntt, lwc = fn(
-                    i0, pRL0[curt], pRS0[curt], int(c[t]), int(s[t]),
-                    int(bl[t]), int(d[t]), int(w[t]), int(hw[t]),
-                    int(mb[t]), int(dep[t]), int(rob[t]), int(rw[t]),
-                    int(last[t]), int(cnt[t]), int(seq0[t]) + i0,
-                    rr, self.RING[ci], SREADY[ci],
-                    SPREADYP[ci] if anydp else None, pLFWD, pLLAT,
-                )
-                self.RR[ci] = rr
-                if lwc:
-                    self.LW[ci] += lwc
-                c[t] = cyc
-                s[t] = sl
-                bl[t] = blv
-                last[t] = lastt
-                cnt[t] = cntt
-        self.FC[vc] += k
-        self.EX[vc] += k
-
-        nonbr = ~isbr
-        if nonbr.any():
-            m = nonbr
-            self._vector_transfer(
-                vc[m], cure[m], b[m], c[m], s[m], bl[m], d[m], w[m],
-                hw[m], mb[m], dep[m],
-            )
-            self.last[vc[m]] = last[m]
-            self.cnt[vc[m]] = cnt[m]
-        if isbr.any():
-            m = isbr
-            self._vector_branch(
-                vc[m], cure[m], b[m], c[m], s[m], bl[m], d[m], w[m],
-                hw[m], mb[m], dep[m], seq0[m] + k[m], rob[m], last[m],
-                cnt[m], rw[m],
-            )
-
-    def _vector_transfer(self, vc, cur, b, c1, s1, b1, d, w, hw, mb, dep):
-        """JMP/CALL/RET/NONE terminators for non-branch records."""
-        term = self.TERM[b]
-        isjc = (term == TERM_JMP) | (term == TERM_CALL)
-        nadv = np.zeros(vc.size, self.width.dtype)
-        if isjc.any():
-            sitecol = np.where(isjc, self.SITE[b], self.sitejunk)
-            seen = self.BTBSEEN[vc, sitecol]
-            nadv = np.where(isjc, ~seen + self.stops[vc], 0)
-            self.BTBSEEN[vc, sitecol] = True
-        isrt = term == TERM_RET
-        if isrt.any():
-            # RAS underflow: advance(), then advance(cycle + depth) —
-            # 1 + max(depth, 1) cycles in total.
-            nadv = np.where(
-                isrt, 1 + self.RUNDER[cur] * np.maximum(dep, 1), nadv
-            )
-        c2 = c1 + nadv
-        moved = nadv > 0
-        s2 = np.where(moved, np.where(c2 <= d, hw, w), s1)
-        b2 = np.where(moved, mb, b1)
-        self.cycle[vc] = c2
-        self.slots[vc] = s2
-        self.branches[vc] = b2
-        self._advance_cursor(vc, cur)
-
-    def _advance_cursor(self, vc, cur) -> None:
-        nxt = cur + 1
-        self.cursor[vc] = nxt
-        self.state[vc] = np.where(nxt >= self.rends[vc], _DONE, _TRACE)
-
-    def _predict(self, vc, idx, ghr):
-        """Vector perceptron dot product; returns (output, taken)."""
-        rows = self.W[vc, idx].astype(np.int64)
-        bits = (ghr[:, None] >> np.arange(_HBITS)[None, :]) & 1
-        x = 2 * bits - 1
-        out = rows[:, 0] + (rows[:, 1:] * x).sum(axis=1)
-        return out, out >= 0
-
-    def _train(self, vc, idx, snap, out, pred, actual):
-        """Vector perceptron train + clip (misp or weak output only)."""
-        need = (pred != actual) | (np.abs(out) <= _THETA)
-        if not need.any():
-            return
-        tc, ti = vc[need], idx[need]
-        t = np.where(actual[need], 1, -1).astype(np.int16)
-        rows = self.W[tc, ti]
-        rows[:, 0] = np.clip(
-            rows[:, 0].astype(np.int64) + t, _WMIN, _WMAX
-        ).astype(np.int16)
-        bits = (snap[need, None] >> np.arange(_HBITS)[None, :]) & 1
-        delta = np.where(bits == 1, t[:, None], -t[:, None])
-        rows[:, 1:] = np.clip(
-            rows[:, 1:].astype(np.int64) + delta, _WMIN, _WMAX
-        ).astype(np.int16)
-        self.W[tc, ti] = rows
-
-    def _vector_branch(self, vc, cur, b, c1, s1, b1, d, w, hw, mb, dep,
-                       seqb, rob, last, cnt, rw):
-        """The conditional-branch terminator: predict, fetch, resolve,
-        train — vectorized; mispredictions and forks finish per cell."""
-        # _fetch_slot(True): the ROB-window check first...
-        occ = seqb >= rob
-        if occ.any():
-            ring = self.RING[vc, np.where(occ, seqb % rob, self.maxrob)]
-            stall = occ & (c1 < ring)
-            if stall.any():
-                c1 = np.where(stall, ring, c1)
-                s1 = np.where(stall, np.where(c1 <= d, hw, w), s1)
-                b1 = np.where(stall, mb, b1)
-        # ...then the slot / branch-budget advance.
-        need = (s1 <= 0) | (b1 <= 0)
-        fetchc = c1 + need
-        sbr = np.where(need, np.where(fetchc <= d, hw, w), s1) - 1
-        bbr = np.where(need, mb, b1) - 1
-        self.FC[vc] += 1
-
-        snap = self.ghr[vc]
-        idx = self.PCT[b]
-        out, pred = self._predict(vc, idx, snap)
-
-        ready = self.RR[vc, self.BRSRC[b, 0]]
-        for j in range(1, self.K):
-            ready = np.maximum(ready, self.RR[vc, self.BRSRC[b, j]])
-        base = np.maximum(fetchc + dep, ready)
-        res = base + self.BRLAT[b]
-
-        # Retire the branch row.
-        rc = np.maximum(res + 1, last)
-        rc = rc + ((rc == last) & (cnt >= rw))
-        cnt = np.where(rc > last, 1, cnt + 1)
-        last = rc
-        self.RING[vc, seqb % rob] = rc
-        self.last[vc] = last
-        self.cnt[vc] = cnt
-        self.EX[vc] += 1
-        self.RB[vc] += 1
-
-        ghr_new = ((snap << 1) | pred) & _M31
-        jidx = (self.JPC[b] ^ (snap & _JHMASK)) & (_JTAB - 1)
-        conf = self.JRS[vc, jidx] >= self.thresh[vc]
-        actual = self.RTAKEN[cur].astype(bool)
-        misp = pred != actual
-        self._train(vc, idx, snap, out, pred, actual)
-        jv = self.JRS[vc, jidx]
-        self.JRS[vc, jidx] = np.where(
-            misp, 0, np.minimum(jv + 1, _JMAX)
-        ).astype(np.int16)
-
-        fork = (
-            self.isdual[vc] & ~conf & (fetchc > d)
-            & (np.abs(out) <= _THETA // 4)
-        )
-        site = self.SITE[b]
-        if self.anydp:
-            # Dpred entry: a hinted (non-loop) diverge branch with a
-            # low-confidence prediction.  The scalar flow reads the JRS
-            # *before* training it, exactly as `conf` above was read.
-            dpe = self.HASH[vc, b] & ~conf
-            inline = (fork | misp) & ~dpe
-        else:
-            dpe = None
-            inline = fork | misp
-
-        ok = ~inline if dpe is None else ~(inline | dpe)
-        if ok.any():
-            oc = vc[ok]
-            taken = pred[ok]
-            nadv = np.zeros(oc.size, self.width.dtype)
-            if taken.any():
-                sitecol = np.where(taken, site[ok], self.sitejunk)
-                seen = self.BTBSEEN[oc, sitecol]
-                nadv = np.where(taken, ~seen + self.stops[oc], 0)
-                self.BTBSEEN[oc, sitecol] = True
-            c2 = fetchc[ok] + nadv
-            moved = nadv > 0
-            self.cycle[oc] = c2
-            self.slots[oc] = np.where(
-                moved, np.where(c2 <= d[ok], hw[ok], w[ok]), sbr[ok]
-            )
-            self.branches[oc] = np.where(moved, mb[ok], bbr[ok])
-            self.ghr[oc] = ghr_new[ok]
-            self._advance_cursor(oc, cur[ok])
-
-        if inline.any():
-            # Mispredictions and dual-path forks walk the wrong path
-            # synchronously per cell (exact scalar transcription).  The
-            # structural-walk cache holds for exactly one resolution
-            # step: _train just ran, so the weights it snapshots stay
-            # untouched until the next _vector_branch call.
-            self._walk_cache.clear()
-            t0 = perf_counter()
-            sel = np.nonzero(inline)[0]
-            ic = vc[sel]
-            outs = [
-                self._branch_epilogue(*args)
-                for args in zip(
-                    ic.tolist(), cur[sel].tolist(), b[sel].tolist(),
-                    fetchc[sel].tolist(), sbr[sel].tolist(),
-                    bbr[sel].tolist(), res[sel].tolist(),
-                    snap[sel].tolist(), pred[sel].tolist(),
-                    actual[sel].tolist(), fork[sel].tolist(),
-                    site[sel].tolist(), self.dual[ic].tolist(),
-                )
-            ]
-            c2, s2, b2, g2, d2, mp, fl, fk, cd, cik = zip(*outs)
-            self.cycle[ic] = c2
-            self.slots[ic] = s2
-            self.branches[ic] = b2
-            self.ghr[ic] = g2
-            self.dual[ic] = d2
-            self.MP[ic] += np.asarray(mp)
-            self.FL[ic] += np.asarray(fl)
-            self.FORKS[ic] += np.asarray(fk)
-            self.CD[ic] += np.asarray(cd)
-            self.CI[ic] += np.asarray(cik)
-            self._advance_cursor(ic, cur[sel])
-            self._prof["scalar_walks"] += perf_counter() - t0
-
-        if dpe is not None and dpe.any():
-            # Dynamic-predication episodes run synchronously per cell
-            # (exact scalar transcription, like the walks above) and may
-            # jump the cursor forward over the records their predicated
-            # paths fetched.
-            t0 = perf_counter()
-            sel = np.nonzero(dpe)[0]
-            dc = vc[sel]
-            outs = [
-                self._dpred_epilogue(*args)
-                for args in zip(
-                    dc.tolist(), cur[sel].tolist(), b[sel].tolist(),
-                    fetchc[sel].tolist(), sbr[sel].tolist(),
-                    bbr[sel].tolist(), res[sel].tolist(),
-                    snap[sel].tolist(), pred[sel].tolist(),
-                    actual[sel].tolist(), d[sel].tolist(),
-                    (seqb[sel] + 1).tolist(),
-                )
-            ]
-            c2, s2, b2, g2, cont = zip(*outs)
-            self.cycle[dc] = c2
-            self.slots[dc] = s2
-            self.branches[dc] = b2
-            self.ghr[dc] = g2
-            nxt = np.asarray(cont)
-            self.cursor[dc] = nxt
-            self.state[dc] = np.where(
-                nxt >= self.rends[dc], _DONE, _TRACE
-            )
-            self._prof["episode_tails"] += perf_counter() - t0
-
-    # ------------------------------------------------------------------
-    # Scalar branch epilogue: misprediction flush / dual-path fork
-    # ------------------------------------------------------------------
-
-    def _branch_epilogue(self, ci, cur, b, fetchc, s, bl, res, snap,
-                         pred, actual, fork, site, dual):
-        """Misprediction flush / dual-path fork for one cell.
-
-        Pure in the fetch state: takes and returns plain ints so the
-        caller can scatter every inline cell back to the state arrays in
-        one shot instead of a dozen single-element numpy writes per
-        walker.  Returns ``(cycle, slots, branches, ghr, dual, mp, fl,
-        forks, cd, ci)`` — the last five are counter deltas.  Only the
-        seen-bit BTB is mutated in place."""
-        ghr_new = ((snap << 1) | pred) & _M31
-        reconv = self.pRECONV[b]
-        node = self.pRNODE[cur]
-        misp = pred != actual
-        cd = cik = 0
-
-        if fork:
-            # _fork_dual_path: walk the not-predicted path, then restore
-            # the saved fetch state (dual-path fetch is cycle-neutral).
-            dual = res
-            start = self.pFALL[b] if actual else self.pTAKEN[b]
-            if start >= 0:
-                _, cd, cik = self._scalar_walk(
-                    ci, start, res, reconv, frozenset(), node,
-                    fetchc, s, bl, dual, ghr_new,
-                )
-            c2, s2, b2 = fetchc, s, bl
-            if misp:
-                ghr_out = ((snap << 1) | int(actual)) & _M31
-            else:
-                ghr_out = ghr_new
-                if pred:
-                    # _taken_redirect (seen-bit BTB + stop-at-taken).
-                    nadv = 0
-                    if not self.BTBSEEN[ci, site]:
-                        self.BTBSEEN[ci, site] = True
-                        nadv += 1
-                    nadv += self.pstops[ci]
-                    if nadv:
-                        c2 = fetchc + nadv
-                        s2 = (
-                            self.phalfw[ci] if c2 <= dual
-                            else self.pwidth[ci]
-                        )
-                        b2 = self.pmaxb[ci]
-            return (c2, s2, b2, ghr_out, dual, int(misp), 0, 1, cd, cik)
-
-        # _mispredict_flush: walk the predicted (wrong) path, then
-        # advance past resolution and repair the history.
-        c2 = fetchc
-        start = self.pTAKEN[b] if pred else self.pFALL[b]
-        if start >= 0:
-            stop = min(self.prends[ci], cur + 1 + _CI_LOOKAHEAD)
-            upcoming = frozenset(self.pRFPC[cur + 1:stop])
-            c2, cd, cik = self._scalar_walk(
-                ci, start, res, reconv, upcoming, node,
-                fetchc, s, bl, dual, ghr_new,
-            )
-        c2 = max(c2 + 1, res + 1)
-        s2 = self.phalfw[ci] if c2 <= dual else self.pwidth[ci]
-        ghr_out = ((snap << 1) | int(actual)) & _M31
-        return (c2, s2, self.pmaxb[ci], ghr_out, dual, 1, 1, 0, cd, cik)
-
-    # ------------------------------------------------------------------
-    # Scalar dpred episode: exact transcription of _dpred_once_impl
-    # ------------------------------------------------------------------
-
-    def _dpred_epilogue(self, ci, cur, b, fetchc, sbr, bbr, res, snap,
-                        pred, actual, dual, seq1):
-        """One dynamic-predication episode for one dmp/dhp cell.
-
-        Transcribes ``_dpred_once_impl`` for the vector envelope's plain
-        machines (no early exit, multiple diverge, loop predication or
-        selective update; watch_diverge is therefore always False and
-        episodes never restart or nest).  The diverge branch's own
-        fetch/retire/train/JRS-update already ran on the vector path in
-        the scalar call order, and the top-level spec_update it skipped
-        is recomputed here from ``snap``.  Returns ``(cycle, slots,
-        branches, ghr, continuation)`` for the caller's scatter; all
-        other state (registers, ring, store predicates, counters,
-        weights, BTB seen-bits) is written back in place."""
-        st = _EpState()
-        st.ci = ci
-        st.cycle = fetchc
-        st.slots = sbr
-        st.bl = bbr
-        st.du = dual
-        st.w = self.pwidth[ci]
-        st.hw = self.phalfw[ci]
-        st.mb = self.pmaxb[ci]
-        st.depth = self.pdepth[ci]
-        st.rob = self.prob[ci]
-        st.rw = self.prw[ci]
-        st.stops = self.pstops[ci]
-        st.rr = self.RR[ci].tolist()
-        st.ring = self.RING[ci]
-        st.wr = []
-        st.last = int(self.last[ci])
-        st.cnt = int(self.cnt[ci])
-        # The post-branch sequence number comes from the caller: with
-        # horizon spans, ``cur`` is the span-*end* record while ``b``
-        # covers the whole span, so pRSEQ0[cur] + pNROWS[b] would
-        # double-count the merged records.
-        st.seq = st.seq0 = seq1
-        st.written = set()
-        st.campcs = self.cfms[ci][b]
-        st.camlock = None
-        st.fc = st.ex = st.rb = st.mp = st.fl = 0
-        st.cd = st.pf = st.lw = 0
-
-        self.DPE[ci] += 1
-        p1 = self.pcnt[ci]
-        p2 = p1 + 1
-        self.pcnt[ci] = p1 + 2
-        xu = 1  # enter.pred.path uop (completion discarded)
-        nsel = 0
-        cp1_ready = list(st.rr)
-        misp = pred != actual
-        limit = self.pplimit[ci]
-
-        # --- predicted path: restore(ghr1) + spec_update(pred), the
-        # taken redirect, then trace (correct prediction) or static
-        # (mispredicted) fetch under predicate p1.
-        st.ghr = ((snap << 1) | (1 if pred else 0)) & _M31
-        if pred:
-            self._ep_taken_redirect(st, self.pSITE[b])
-        if misp:
-            start = self.pTAKEN[b] if pred else self.pFALL[b]
-            pout = self._ep_static_path(
-                st, start, self.pRNODE[cur], res, limit
-            )
-            ppos = -1
-        else:
-            pout, ppos = self._ep_trace_path(st, cur + 1, res, p1, limit)
-
-        if pout != _P_CFM:
-            # _exit_without_predicted_cfm: cases 5 / 6.
-            if pout != _P_RESOLVED and st.cycle < res:
-                self._ep_adv(st, res)
-            if misp:
-                ecase = 6  # FLUSH
-                st.mp += 1
-                st.fl += 1
-                st.rr = list(cp1_ready)
-                self._ep_adv(st, res + 1)
-                ghr_out = ((snap << 1) | (1 if actual else 0)) & _M31
-                cont = cur + 1
-            else:
-                ecase = 5  # CONTINUE_PREDICTED
-                ghr_out = st.ghr
-                cont = ppos
-        else:
-            # --- alternate path: checkpoint the predicted end, restore
-            # the pre-branch registers, fetch the other direction under
-            # predicate p2 (trace when mispredicted, static otherwise).
-            predicted_ghr = st.ghr
-            cp2_ready = list(st.rr)
-            st.rr = list(cp1_ready)
-            xu += 1  # enter.alternate.path
-            st.ghr = ((snap << 1) | (0 if pred else 1)) & _M31
-            if misp:
-                aout, apos = self._ep_trace_path(
-                    st, cur + 1, res, p2, limit
-                )
-            else:
-                start = self.pFALL[b] if pred else self.pTAKEN[b]
-                aout = self._ep_static_path(
-                    st, start, self.pRNODE[ppos], res, limit
-                )
-                apos = -1
-            if aout == _P_CFM:
-                # Cases 1 / 2: normal exit with select-uops.  The select
-                # set is the ascending union of registers renamed on
-                # either path (fresh tags always differ; pre-episode M
-                # bits never can, their mappings being equal).
-                xu += 1  # exit.pred
-                rr = st.rr
-                cycle_d = st.cycle + st.depth
-                selects = sorted(st.written)
-                for a in selects:
-                    sr = cp2_ready[a]
-                    v = rr[a]
-                    if v > sr:
-                        sr = v
-                    if res > sr:
-                        sr = res
-                    rr[a] = (cycle_d if cycle_d > sr else sr) + 1
-                nsel = len(selects)
-                if self.pghrpred[ci]:
-                    ghr_out = predicted_ghr
-                else:
-                    ghr_out = st.ghr
-                if misp:
-                    ecase = 2  # NORMAL_MISPREDICTED
-                    st.mp += 1  # eliminated: no flush
-                    cont = apos
-                else:
-                    ecase = 1  # NORMAL_CORRECT
-                    cont = ppos
-            else:
-                # RESOLVED / EXHAUSTED / LIMIT (early exit is outside
-                # the envelope): cases 3 / 4.
-                if st.cycle < res:
-                    self._ep_adv(st, res)
-                if misp:
-                    ecase = 4  # CONTINUE_ALTERNATE
-                    st.mp += 1  # eliminated: no flush
-                    ghr_out = st.ghr
-                    cont = apos
-                else:
-                    ecase = 3  # REDIRECT_TO_CFM
-                    st.rr = list(cp2_ready)
-                    ghr_out = predicted_ghr
-                    self._ep_adv(st, None)
-                    cont = ppos
-
-        return self._ep_finish(
-            ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
-            ghr_out, cont,
-        )
-
-    def _ep_finish(self, ci, st, cur, b, pred, actual, snap, ecase, xu,
-                   nsel, ghr_out, cont):
-        """Episode tail of ``_dpred_epilogue``: scatter the per-cell
-        state back, flush the ring span, intern the episode signature,
-        accumulate the counters."""
-        self.RR[ci] = st.rr
-        # The episode's ring writes sit at consecutive sequence numbers;
-        # flush just that circular span of the write log (a full
-        # 513-slot row costs ~10us per episode, the typical span a
-        # fraction of that).
-        wr = st.wr
-        nw = len(wr)
-        rob = st.rob
-        ring = st.ring
-        if nw >= rob:
-            b0 = st.seq0 + nw - rob
-            for off in range(rob):
-                ring[(b0 + off) % rob] = wr[nw - rob + off]
-        elif nw:
-            a0 = st.seq0 % rob
-            end = a0 + nw
-            if end <= rob:
-                ring[a0:end] = wr
-            else:
-                ring[a0:rob] = wr[: rob - a0]
-                ring[: end - rob] = wr[rob - a0:]
-        self.last[ci] = st.last
-        self.cnt[ci] = st.cnt
-        self.EC[ci, ecase] += 1
-        sigs = self._episigs
-        skey = (
-            self.pepoch[ci], cur, b, pred, actual, snap, ecase, cont,
-            ghr_out,
-        )
-        eid = sigs.get(skey)
-        if eid is None:
-            eid = sigs[skey] = len(sigs) + 1
-        self.pepoch[ci] = eid
-        self.XU[ci] += xu
-        self.SU[ci] += nsel
-        self.FC[ci] += st.fc
-        self.EX[ci] += st.ex
-        self.RB[ci] += st.rb
-        self.MP[ci] += st.mp
-        self.FL[ci] += st.fl
-        self.CD[ci] += st.cd
-        self.PF[ci] += st.pf
-        self.LW[ci] += st.lw
-        return st.cycle, st.slots, st.bl, ghr_out, cont
-
-    def _ep_adv(self, st: _EpState, to) -> None:
-        """_advance_fetch_cycle."""
-        c = st.cycle + 1
-        if to is not None and to > c:
-            c = to
-        st.cycle = c
-        st.slots = st.hw if c <= st.du else st.w
-        st.bl = st.mb
-
-    def _ep_taken_redirect(self, st: _EpState, site: int) -> None:
-        """_taken_redirect under the seen-bit BTB model."""
-        if not self.BTBSEEN[st.ci, site]:
-            self.BTBSEEN[st.ci, site] = True
-            self._ep_adv(st, None)
-        if st.stops:
-            self._ep_adv(st, None)
-
-    def _ep_trace_path(self, st: _EpState, pos: int, res: int, pid: int,
-                       limit: int):
-        """_fetch_dpred_trace_path_fast with watch_diverge=False.
-        Returns ``(outcome, position)`` — the CFM trace position or the
-        stopped position.  Record-once holds: the caller resumes the
-        main loop exactly past the records consumed here."""
-        rend = self.prends[st.ci]
-        fetched = 0
-        while True:
-            if pos >= rend:
-                return _P_EXHAUSTED, pos
-            fpc = self.pRFPC[pos]
-            if (
-                fpc == st.camlock if st.camlock is not None
-                else fpc in st.campcs
-            ):
-                st.camlock = fpc
-                return _P_CFM, pos
-            if st.cycle >= res:
-                return _P_RESOLVED, pos
-            b = self.pRECBLK[pos]
-            nr = self.pNROWS[b]
-            if fetched + nr > limit:
-                return _P_LIMIT, pos
-            extra = self.pREXTRA[pos]
-            if extra > 0:
-                self._ep_adv(st, st.cycle + extra)
-            if self.pTERM[b] == TERM_BR:
-                self._ep_fetch_rows(st, pos, b, self.pNBODY[b], res, pid)
-                self._ep_nested_branch(st, pos, b)
-            else:
-                self._ep_fetch_rows(st, pos, b, nr, res, pid)
-                self._ep_transfer(st, pos, b)
-            fetched += nr
-            pos += 1
-
-    def _ep_transfer(self, st: _EpState, pos: int, b: int) -> None:
-        """_transfer_fast (JMP/CALL/RET/NONE) inside an episode."""
-        term = self.pTERM[b]
-        if term == TERM_NONE:
-            return
-        if term == TERM_RET:
-            self._ep_adv(st, None)
-            if self.pRUNDER[pos]:
-                self._ep_adv(st, st.cycle + st.depth)
-        else:  # JMP / CALL: the push is timing-free, the redirect isn't
-            self._ep_taken_redirect(st, self.pSITE[b])
-
-    def _ep_fetch_rows(self, st: _EpState, pos: int, b: int, nrows: int,
-                       res: int, pid: int) -> None:
-        """_fetch_trace_block_fast for an episode's on-trace block:
-        predicated stores publish (ready, predicate-ready, pid) and
-        predicated loads apply the forward/wait rule against them."""
-        if not nrows:
-            return
-        fn = self._epfns.get(b)
-        if fn is None:
-            fn = self._epfns[b] = _compile_row_loop(
-                self.pROWS[b], nrows, "ep"
-            )
-        ci = st.ci
-        fn(
-            st, self.pRL0[pos], self.pRS0[pos], res, pid,
-            self.SREADY[ci], self.SPREADYP[ci], self.spid[ci],
-            self.pLFWD, self.pLLAT,
-        )
-        st.written.update(self.pDESTS[b])
-        st.fc += nrows
-        st.ex += nrows
-
-    def _ep_nested_branch(self, st: _EpState, pos: int, b: int) -> None:
-        """_handle_nested_trace_branch with watch_diverge=False: predict,
-        fetch/retire the branch row, train + JRS, then flush-and-repair
-        (footnote 11) or taken-redirect inline."""
-        ci = st.ci
-        hist = st.ghr
-        idx = self.pPCT[b]
-        out = self._scalar_predict(self.W[ci, idx].tolist(), hist)
-        prd = out >= 0
-        # _fetch_branch_instruction: _fetch_slot(True) with the ROB
-        # window check, then sources + retire.
-        seq = st.seq
-        rob = st.rob
-        if seq >= rob:
-            j = seq - rob
-            sq0 = st.seq0
-            oldest = st.wr[j - sq0] if j >= sq0 else st.ring[j % rob]
-            if st.cycle < oldest:
-                self._ep_adv(st, oldest)
-        if st.slots <= 0 or st.bl <= 0:
-            self._ep_adv(st, None)
-        st.slots -= 1
-        st.bl -= 1
-        st.fc += 1
-        base = st.cycle + st.depth
-        for s_ in self.pBRSRC[b]:
-            v = st.rr[s_]
-            if v > base:
-                base = v
-        comp = base + self.pBRLAT[b]
-        rc = comp + 1
-        if rc < st.last:
-            rc = st.last
-        if rc == st.last:
-            if st.cnt >= st.rw:
-                rc += 1
-                st.cnt = 0
-        else:
-            st.cnt = 0
-        st.last = rc
-        st.cnt += 1
-        st.wr.append(rc)
-        st.seq = seq + 1
-        st.ex += 1
-        st.rb += 1
-        actual = bool(self.pRTAKEN[pos])
-        misp = prd != actual
-        st.ghr = ((hist << 1) | (1 if prd else 0)) & _M31
-        self._ep_train(ci, idx, hist, out, prd, actual)
-        jidx = (self.pJPC[b] ^ (hist & _JHMASK)) & (_JTAB - 1)
-        jrow = self.JRS[ci]
-        if misp:
-            jrow[jidx] = 0
-        else:
-            v = int(jrow[jidx])
-            if v < _JMAX:
-                jrow[jidx] = v + 1
-        if misp:
-            st.mp += 1
-            st.fl += 1
-            self._ep_adv(st, comp + 1)
-            st.ghr = ((hist << 1) | (1 if actual else 0)) & _M31
-        elif prd:
-            self._ep_taken_redirect(st, self.pSITE[b])
-
-    def _ep_static_path(self, st: _EpState, cur: int, node: int,
-                        res: int, limit: int) -> int:
-        """_fetch_dpred_static_path_fast with watch_diverge=False: walk
-        the static CFG behind the predictor under predicate FALSE.  No
-        records are consumed, the sequence number stays frozen, and the
-        predictor steers (plain cycle-end advances — the static walker
-        never touches the BTB)."""
-        local: List[int] = []
-        fetched = 0
-        while True:
-            if cur < 0:
-                return _P_EXHAUSTED
-            fpc = self.pFPC[cur]
-            if (
-                fpc == st.camlock if st.camlock is not None
-                else fpc in st.campcs
-            ):
-                st.camlock = fpc
-                return _P_CFM
-            if st.cycle >= res:
-                return _P_RESOLVED
-            if fetched + self.pNROWS[cur] > limit:
-                return _P_LIMIT
-            self._ep_static_block(st, cur)
-            fetched += self.pNROWS[cur]
-            term = self.pTERM[cur]
-            if term == TERM_BR:
-                hist = st.ghr
-                out = self._scalar_predict(
-                    self.W[st.ci, self.pPCT[cur]].tolist(), hist
-                )
-                prd = out >= 0
-                st.ghr = ((hist << 1) | (1 if prd else 0)) & _M31
-                if prd:
-                    self._ep_adv(st, None)  # taken ends the cycle
-                    cur = self.pTAKEN[cur]
-                else:
-                    cur = self.pFALL[cur]
-            elif term == TERM_NONE:
-                cur = self.pFALL[cur]
-            else:
-                self._ep_adv(st, None)  # jmp/call/ret redirect
-                if term == TERM_JMP:
-                    cur = self.pTARGET[cur]
-                elif term == TERM_CALL:
-                    fall = self.pFALL[cur]
-                    if fall >= 0:
-                        local.append(fall)
-                    cur = self.pCALLEE[cur]
-                else:  # TERM_RET: local shadow stack, then the
-                    if local:  # architectural context chain
-                        cur = local.pop()
-                    elif node >= 0:
-                        cur = self.pNODERET[node]
-                        node = self.pNODEPAR[node]
-                    else:
-                        cur = -1
-
-    def _ep_static_block(self, st: _EpState, cur: int) -> None:
-        """_fetch_static_dpred_block_fast: predicate-FALSE instructions
-        occupy fetch/window resources and rename, but never retire (the
-        sequence number is frozen — they leave the window on predicate
-        resolution, never blocking it)."""
-        nr = self.pNROWS[cur]
-        if not nr:
-            return
-        fn = self._stfns.get(cur)
-        if fn is None:
-            fn = self._stfns[cur] = _compile_static_block(
-                self.pROWS[cur], self.pTERM[cur] == TERM_BR
-            )
-        seq = st.seq
-        # seq is frozen here, so the window's oldest entry is one fixed
-        # value (0 when the window isn't full: cycles are never negative
-        # and the stall test stays false).
-        if seq >= st.rob:
-            j = seq - st.rob
-            sq0 = st.seq0
-            oldest = st.wr[j - sq0] if j >= sq0 else st.ring[j % st.rob]
-        else:
-            oldest = 0
-        fn(st, oldest)
-        st.written.update(self.pDESTS[cur])
-        st.cd += nr
-        st.ex += nr
-        st.pf += nr
-
-    def _ep_train(self, ci: int, idx: int, hist: int, out: int,
-                  pred: bool, actual: bool) -> None:
-        """Scalar perceptron train + clip (misp or weak output only)."""
-        if pred == actual and (out if out >= 0 else -out) > _THETA:
-            return
-        lst = self.W[ci, idx].tolist()
-        t = 1 if actual else -1
-        v = lst[0] + t
-        lst[0] = _WMAX if v > _WMAX else (_WMIN if v < _WMIN else v)
-        for j in range(1, _HBITS + 1):
-            v = lst[j] + (t if (hist >> (j - 1)) & 1 else -t)
-            lst[j] = _WMAX if v > _WMAX else (_WMIN if v < _WMIN else v)
-        self.W[ci, idx] = lst
-
-    def _scalar_predict(self, row: List[int], ghr: int) -> int:
-        out = row[0]
-        for j in range(_HBITS):
-            out += row[j + 1] if (ghr >> j) & 1 else -row[j + 1]
-        return out
-
-    def _extend_path(self, path: _WalkPath) -> bool:
-        """Append one structural block to ``path``; False when the walk
-        is exhausted (dead end or guard).  Mirrors the control-flow half
-        of ``_walk_wrong_path_fast``: predict-directed branches, the
-        local call stack, and the architectural return context."""
-        cur = path.cur
-        if cur < 0:
-            return False
-        path.guard += 1
-        if path.guard > _WALK_GUARD:
-            return False
-        if not path.reached:
-            fpc = self.pFPC[cur]
-            if fpc == path.reconv or fpc in path.upcoming:
-                path.reached = True
-        nr = self.pNROWS[cur]
-        term = self.pTERM[cur]
-        isbr = term == TERM_BR
-        bump = False
-        if isbr:
-            out = self._scalar_predict(
-                path.weights[self.pPCT[cur]].tolist(), path.ghr
-            )
-            pr = out >= 0
-            path.ghr = ((path.ghr << 1) | pr) & _M31
-            if pr:
-                bump = True
-                cur = self.pTAKEN[cur]
-            else:
-                cur = self.pFALL[cur]
-        elif term == TERM_NONE:
-            cur = self.pFALL[cur]
-        else:
-            bump = True
-            if term == TERM_JMP:
-                cur = self.pTARGET[cur]
-            elif term == TERM_CALL:
-                fall = self.pFALL[cur]
-                if fall >= 0:
-                    path.local.append(fall)
-                cur = self.pCALLEE[cur]
-            else:  # TERM_RET
-                if path.local:
-                    cur = path.local.pop()
-                elif path.node >= 0:
-                    cur = self.pNODERET[path.node]
-                    path.node = self.pNODEPAR[path.node]
-                else:
-                    cur = -1
-        path.cur = cur
-        path.blocks.append((nr, isbr, bump, path.reached))
-        return True
-
-    def _scalar_walk(self, ci: int, start: int, until: int, reconv: int,
-                     upcoming, node: int, c: int, s: int, bl: int,
-                     d: int, ghr: int):
-        """Exact transcription of ``_walk_wrong_path_fast`` for one cell,
-        split into the shared structural path (cached per resolution
-        step, see :class:`_WalkPath`) and the per-cell timing replay
-        below.  Only ``cycle`` and the CD/CI counters survive a walk —
-        the epilogue overwrites slots, branch budget and history in both
-        the flush and the fork case — so the replay returns
-        ``(cycle, cd, ci)`` and nothing else, and follower cells never
-        touch the predictor."""
-        if c >= until:
-            return c, 0, 0
-        # Same-trace weight lockstep — the premise of sharing — holds
-        # for predicated cells only until their episode outcomes first
-        # diverge; the epoch chain (see __init__) tracks exactly that,
-        # so dmp/dhp cells share walks with their epoch peers.
-        if self.pispred[ci]:
-            tgid = (self.ptgid[ci], self.pepoch[ci])
-        else:
-            tgid = self.ptgid[ci]
-        key = (tgid, start, ghr, reconv, node, upcoming)
-        path = self._walk_cache.get(key)
-        if path is None:
-            path = self._walk_cache[key] = _WalkPath(
-                start, ghr, node, reconv, upcoming, self.W[ci]
-            )
-        hw = self.phalfw[ci]
-        w = self.pwidth[ci]
-        mb = self.pmaxb[ci]
-        # Uniform fetch-width regime (dual window already over, or
-        # outlasting the walk) makes the whole replay a function of the
-        # relative budget — memoize it across the cells replaying this
-        # path.
-        if d < c:
-            rkey = (until - c, s, bl, w, mb)
-        elif d >= until + 2:
-            rkey = (until - c, s, bl, hw, mb)
-        else:
-            rkey = None
-        if rkey is not None:
-            hit = path.replays.get(rkey)
-            if hit is not None:
-                dc, rcd, rci = hit
-                return c + dc, rcd, rci
-        c0 = c
-        blocks = path.blocks
-        nblocks = len(blocks)
-        cd = cik = 0
-        i = 0
-        while c < until:
-            if i >= nblocks:
-                if not self._extend_path(path):
-                    break
-                nblocks += 1
-            nr, isbr, bump, reached = blocks[i]
-            i += 1
-            # Fetch-width regime for this block: the dual-path window
-            # either expired already (full width) or outlasts the whole
-            # walk (half width, c never exceeds until + 2 here); only a
-            # window expiring mid-walk needs the per-instruction loop.
-            if d < c:
-                W = w
-            elif d >= until + 2:
-                W = hw
-            else:
-                W = 0
-            if W:
-                # Closed-form slot accounting: n body instructions
-                # consume the current cycle's leftover slots, then whole
-                # refilled cycles of W, cut off once the refill reaches
-                # `until` (the cycle that lands on `until` still issues
-                # its first instruction — the bound is checked before
-                # each instruction, after the refill).
-                n = nr - 1 if isbr else nr
-                took = n if s >= n else s
-                rem = n - took
-                s -= took
-                if rem:
-                    nbf = (rem + W - 1) // W
-                    t1 = until - c - 1
-                    if nbf > t1:
-                        nbf = t1
-                    cons = nbf * W
-                    if cons > rem:
-                        cons = rem
-                    if nbf:
-                        c += nbf
-                        s = nbf * W - cons
-                        bl = mb
-                        took += cons
-                        rem -= cons
-                    if rem and c < until:
-                        c += 1
-                        s = W - 1
-                        bl = mb
-                        took += 1
-                if isbr and c < until:
-                    if s <= 0 or bl <= 0:
-                        c += 1
-                        s = W
-                        bl = mb
-                    bl -= 1
-                    s -= 1
-                    took += 1
-            else:
-                took = 0
-                for j in range(nr):
-                    if c >= until:
-                        break
-                    if isbr and j == nr - 1:
-                        if s <= 0 or bl <= 0:
-                            c += 1
-                            s = hw if c <= d else w
-                            bl = mb
-                        bl -= 1
-                    elif s <= 0:
-                        c += 1
-                        s = hw if c <= d else w
-                        bl = mb
-                    s -= 1
-                    took += 1
-            if reached:
-                cik += took
-            else:
-                cd += took
-            if bump:
-                c += 1
-                s = hw if c <= d else w
-                bl = mb
-        if rkey is not None:
-            path.replays[rkey] = (c - c0, cd, cik)
-        return c, cd, cik

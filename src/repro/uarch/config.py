@@ -98,10 +98,11 @@ class MachineConfig:
     #: Simulation engine: ``"fast"`` (default) runs the pre-decoded
     #: block-plan inner loops (:mod:`repro.uarch.plan`);
     #: ``"reference"`` keeps the original per-instruction loops;
-    #: ``"batch"`` routes the run through the vectorized lockstep
-    #: engine (:mod:`repro.uarch.batch`), which simulates many cells
-    #: over numpy struct-of-arrays and falls back to the fast engine
-    #: for configurations outside its vector envelope.  All engines
+    #: ``"batch"`` routes the run through the batch engine
+    #: (:mod:`repro.uarch.batch`), which simulates each cell on a native
+    #: C kernel built on first use and falls back to the fast engine for
+    #: configurations outside the kernel's envelope (or when no C
+    #: compiler is available).  All engines
     #: produce bit-identical :class:`~repro.uarch.stats.SimStats`
     #: (asserted by tests/core/test_engine_differential.py and
     #: tests/core/test_engine_batch.py), and the choice deliberately

@@ -56,13 +56,6 @@ class BlockPlan:
     ``body_rows`` drops the terminating instruction (the
     ``skip_terminator`` fetch path, used for conditional branches the
     caller predicts separately).
-
-    ``timing_rows`` is the batch engine's scalar row form —
-    ``(kind, latency, max(latency, 1), dest, srcs, load_ordinal,
-    store_ordinal)`` with the ordinals counting loads/stores within the
-    block — precomputed here so the lockstep groups and the horizon
-    macro blocks assemble their row tables without re-deriving it per
-    group.
     """
 
     __slots__ = (
@@ -72,7 +65,6 @@ class BlockPlan:
         "first_pc",
         "rows",
         "body_rows",
-        "timing_rows",
         "cond_flags",
         "load_count",
         "store_count",
@@ -97,7 +89,6 @@ class BlockPlan:
         self.first_pc: Optional[int] = None
         self.rows: Tuple[Tuple, ...] = ()
         self.body_rows: Tuple[Tuple, ...] = ()
-        self.timing_rows: Tuple[Tuple, ...] = ()
         self.cond_flags: Tuple[bool, ...] = ()
         self.load_count = 0
         self.store_count = 0
@@ -138,21 +129,17 @@ def build_block_plan(program, function: str, block) -> BlockPlan:
         plan.first_pc = auth.first_pc
 
     rows = []
-    timing = []
     loads = stores = 0
     for instr in instructions:
         op = instr.opcode
         if op == Opcode.LOAD:
             kind = KIND_LOAD
-            lord, stord = loads, -1
             loads += 1
         elif op == Opcode.STORE:
             kind = KIND_STORE
-            lord, stord = -1, stores
             stores += 1
         else:
             kind = KIND_ALU
-            lord = stord = -1
         latency = instr.latency
         lat1 = latency if latency > 1 else 1
         dest = -1 if instr.dest is None else instr.dest
@@ -166,12 +153,8 @@ def build_block_plan(program, function: str, block) -> BlockPlan:
                 instr.srcs,
             )
         )
-        timing.append(
-            (kind, latency, lat1, dest, tuple(instr.srcs), lord, stord)
-        )
     plan.rows = tuple(rows)
     plan.body_rows = plan.rows[:-1]
-    plan.timing_rows = tuple(timing)
     plan.cond_flags = tuple(row[0] for row in rows)
     plan.load_count = loads
     plan.store_count = stores

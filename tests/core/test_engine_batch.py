@@ -1,11 +1,11 @@
-"""Differential validation of the vectorized batch engine.
+"""Differential validation of the batch engine.
 
-The batch engine advances many (program, trace, config) cells in
-lockstep over numpy struct-of-arrays (:mod:`repro.uarch.batch`); its
-contract is the same as the fast engine's — *bit identity* with the
-reference engine — reached two ways: the vector path for cells inside
-the supported envelope, and a per-cell fast-engine fallback for
-everything else.  Both paths are exercised here; the committed fuzz
+The batch engine simulates each (program, trace, config) cell on a
+native C kernel over static arenas shared by the cells of one
+``run_batch`` call (:mod:`repro.uarch.batch`); its contract is the same
+as the fast engine's — *bit identity* with the reference engine —
+reached two ways: the kernel for cells inside the supported envelope,
+and a per-cell fast-engine fallback for everything else.  Both paths are exercised here; the committed fuzz
 corpus replays against the batch engine too
 (tests/fuzz/test_corpus_replay.py).
 """
@@ -52,11 +52,11 @@ def _reference(ctx: BenchmarkContext, config: MachineConfig):
 
 
 def test_vector_path_bit_identical_across_the_suite():
-    """One lockstep group holding every benchmark under every vector-
-    eligible mode (baseline, dualpath, dmp, dhp) must reproduce the
-    reference stats bit for bit, cell for cell.  Running them as *one*
-    group (not one group per cell) is the point: it proves cells cannot
-    bleed state into each other through the shared arrays."""
+    """One ``run_batch`` call holding every benchmark under every
+    kernel-eligible mode (baseline, dualpath, dmp, dhp) must reproduce
+    the reference stats bit for bit, cell for cell.  Running them in
+    *one* call (not one call per cell) is the point: it proves cells
+    cannot bleed state into each other through the shared arenas."""
     cells, refs = [], []
     for name in BENCHMARK_NAMES:
         ctx = _context(name)
@@ -68,7 +68,7 @@ def test_vector_path_bit_identical_across_the_suite():
             refs.append(_reference(ctx, config))
     reasons = {}
     results = run_batch(cells, fallback_reasons=reasons)
-    assert reasons == {}, "expected every cell on the vector path"
+    assert reasons == {}, "expected every cell on the native kernel"
     for cell, ref, got in zip(cells, refs, results):
         assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
             cell.benchmark, cell.config.mode,
@@ -76,8 +76,8 @@ def test_vector_path_bit_identical_across_the_suite():
 
 
 def test_mixed_sizing_grid_bit_identical():
-    """Heterogeneous frontend/backend sizings in one group, including
-    ROBs smaller than a block (the non-static ring-buffer path)."""
+    """Heterogeneous frontend/backend sizings in one call, including
+    ROBs smaller than a block (the window stalls inside a block)."""
     grid = [
         MachineConfig.baseline().replace(fetch_width=8, rob_size=512),
         MachineConfig.baseline().replace(rob_size=16),
@@ -100,10 +100,10 @@ def test_mixed_sizing_grid_bit_identical():
 
 
 def test_mixed_mode_grid_bit_identical():
-    """Predicated and non-predicated cells side by side in one group,
+    """Predicated and non-predicated cells side by side in one call,
     over the dpred knobs the envelope admits (multiple CFM targets, the
     alternate GHR policy, tight path limits) plus sizing variants —
-    episodes must not leak into neighbouring lanes through the shared
+    episodes must not leak into neighbouring cells through the shared
     tables, and every dpred counter (entries, exit cases, select/extra
     uops, predicated-false fetches, load predicate waits) must match."""
     grid = [
@@ -135,7 +135,7 @@ def test_mixed_mode_grid_bit_identical():
 
 def test_single_cell_simulate_route():
     """``simulate(engine="batch")`` — the processors.py route — works
-    for a lone cell, vector path included."""
+    for a lone cell, native kernel included."""
     ctx = _context("parser")
     config = MachineConfig.dualpath()
     got = ctx.simulate(config.replace(engine="batch"))
@@ -149,8 +149,8 @@ def test_single_cell_simulate_route():
 )
 @pytest.mark.parametrize("bench_name", ("parser", "gzip"))
 def test_fallback_path_bit_identical(bench_name, config_name):
-    """Configurations outside the vector envelope (predicated modes,
-    hardened runs) silently fall back to the fast engine per cell — and
+    """Configurations outside the kernel's envelope (enhanced predicated
+    modes, hardened runs) silently fall back to the fast engine per cell — and
     must still match the hardened reference bit for bit."""
     factory = {
         "dmp": lambda: MachineConfig.dmp(enhanced=True),
@@ -206,8 +206,8 @@ def test_cell_supported_reports_reasons():
     assert not ok and "selective" in reason
     ok, reason = cell_supported(_cell(ctx, MachineConfig.wish()))
     assert not ok and "wish" in reason
-    # Learned merge points mutate between lookups; the lockstep vector
-    # path has no lane-local predictor state, so mpp is scalar-only.
+    # Learned merge points mutate between lookups; the kernel reads a
+    # static hint table, so mpp is scalar-only.
     ok, reason = cell_supported(_cell(ctx, MachineConfig.mpp()))
     assert not ok and "mpp" in reason
 
@@ -249,14 +249,14 @@ def test_run_suite_batch_executor_matches_serial():
 
 
 def test_trace_arenas_keyed_by_trace_and_warm_words():
-    """One group holding two traces of one ``Program`` object, each with
+    """One call holding two traces of one ``Program`` object, each with
     and without its warm-up words: every (trace, warm words) pair needs
-    its own trace arena, and both traces share the program's arena and
-    span-macro index.  Every cell must match the reference engine."""
+    its own trace arena, and both traces share the program's arena.
+    Every cell must match the reference engine."""
     ctx = _context("parser")
     warm = ctx.workload.memory.warm_words()
     # A second trace of the same Program object: on zeroed memory it
-    # takes other paths, so its span macros intern in another order.
+    # takes other paths.
     traces = (ctx.trace, Interpreter(ctx.program, memory=Memory()).run())
     assert len(traces[0].records) != len(traces[1].records)
     cells = [

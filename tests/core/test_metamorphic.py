@@ -1,17 +1,20 @@
 """Metamorphic invariants on fuzzed programs.
 
 Differential tests compare the engines with each other; these compare a
-machine with itself under a transformation whose effect is known.  A
-dynamic-predication machine with no diverge hints has nothing to
-predicate, so it must time every program exactly like the baseline
-machine — on every engine.  A bug shared by all engines (a confidence
-update leaking into timing, a hint-table lookup with side effects)
-breaks this even though the engines still agree with each other.
+machine with itself under a transformation whose effect is known, or
+check identities every run must satisfy.  A dynamic-predication machine
+with no diverge hints has nothing to predicate, so it must time every
+program exactly like the baseline machine — on every engine.  Every
+episode ends in exactly one Table 1 exit case unless it restarts, and
+every retired instruction is fetched exactly once on the correct path.  A bug
+shared by all engines (a confidence update leaking into timing, a
+hint-table lookup with side effects, a record fetched twice) breaks
+these even though the engines still agree with each other.
 """
 
 import dataclasses
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.processors import simulate
 from repro.fuzz import FuzzKnobs, draw_spec
@@ -56,4 +59,39 @@ def test_predication_without_hints_is_baseline(seed):
             assert not diff, (
                 f"{config.mode} with an empty hint table differs from "
                 f"baseline on engine {engine!r} (seed {seed}): {diff}"
+            )
+
+
+#: Every machine mode the identities below are pinned on, with the
+#: fuzz mode whose hint table it runs.
+_IDENTITY_MODES = (
+    ("baseline", MachineConfig.baseline()),
+    ("dualpath", MachineConfig.dualpath()),
+    ("dmp", MachineConfig.dmp()),
+    ("dmp", MachineConfig.dmp(enhanced=True)),
+    ("dhp", MachineConfig.dhp()),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@example(seed=3778)  # enhanced dmp restarts 14 of its 147 episodes
+def test_exit_cases_and_fetch_are_conserved(seed):
+    ctx = FuzzProgram(draw_spec(seed, _KNOBS))
+    warm = ctx.workload.memory.warm_words()
+    for hint_mode, config in _IDENTITY_MODES:
+        hints = ctx.hints_for(hint_mode)
+        for engine in ENGINES:
+            stats = simulate(
+                ctx.program, ctx.trace, config.replace(engine=engine),
+                hints=hints, benchmark=ctx.spec.name, warm_words=warm,
+            )
+            where = f"{config.describe()} on engine {engine!r} (seed {seed})"
+            # A restarted episode counts as an entry but records no exit
+            # case (the episode it restarts into records its own).
+            assert sum(stats.exit_cases.values()) == (
+                stats.dpred_entries - stats.dpred_restarts
+            ), f"exit cases do not account for every episode: {where}"
+            assert stats.fetched_correct == stats.retired_instructions, (
+                f"correct-path fetch differs from retirement: {where}"
             )

@@ -40,19 +40,17 @@ def test_reproducer_is_clean_on_head(entry):
     "entry", _ENTRIES, ids=[os.path.basename(e["path"]) for e in _ENTRIES]
 )
 def test_reproducer_is_clean_on_batch_engine(entry):
-    """The corpus replays against the vectorized batch engine too.
+    """The corpus replays against the batch engine's native kernel too.
 
     ``harden=False`` is deliberate: hardened configs fall back to the
     fast engine per cell, so only an unhardened replay drives the
-    corpus programs down the batch engine's vector path.  The mode
-    matrix includes ``dmp-basic`` (the plain Table-1 machine, inside
-    the vector envelope), so every replay also exercises the
-    vectorized predicated-episode path — not just the unpredicated
-    lockstep loop.  Appending the ``dmp-gang`` band fans each
-    reproducer across machine sizings as one batch group, so the
-    replay also covers many lanes entering the same episodes and
-    sharing structural walks and predictor epochs, not just
-    single-lane groups."""
+    corpus programs through the native kernel.  The mode matrix
+    includes ``dmp-basic`` (the plain Table-1 machine, inside the
+    kernel's envelope), so every replay also exercises the kernel's
+    predicated episodes — not just baseline and dual-path timing.
+    Appending the ``dmp-gang`` band fans each reproducer across
+    machine sizings in one ``run_batch`` call, so the replay also
+    covers many cells sharing one call's arenas."""
     spec = spec_from_dict(entry["spec"])
     findings = check_spec(
         spec,

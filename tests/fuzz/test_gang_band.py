@@ -1,13 +1,11 @@
-"""The ``dmp-gang`` fuzz band: many-lane groups over shared episodes.
+"""The ``dmp-gang`` fuzz band: one program across many machine sizings.
 
-The per-mode differential matrix runs one cell at a time, so the batch
-engine's cross-lane sharing — structural wrong-path walks and predictor
-epochs reused by every lane over one trace — never sees more than one
-lane.  The band fans a single fuzz program across :data:`GANG_SIZINGS`
-machine sizings as one ``run_batch`` group; these tests pin that the
-band keeps every lane on the vector path, that the lanes really run
-dpred episodes there, and that every lane stays bit-identical to the
-reference engine.
+The per-mode differential matrix runs one cell per ``run_batch`` call.
+The band fans a single fuzz program across :data:`GANG_SIZINGS` machine
+sizings in one call, so the cells share the call's program and trace
+arenas; these tests pin that the band keeps every cell on the native
+kernel, that the cells really run dpred episodes there, and that every
+cell stays bit-identical to the reference engine.
 """
 
 import pytest
@@ -46,8 +44,8 @@ def _band_cells(ctx: FuzzProgram):
 
 @pytest.fixture(scope="module")
 def band_spec():
-    """The first probe seed whose 16-lane group stays on the vector
-    path and runs dpred episodes there."""
+    """The first probe seed whose 16 cells stay on the native kernel
+    and run dpred episodes there."""
     for seed in _PROBE_SEEDS:
         spec = draw_spec(seed, FuzzKnobs())
         ctx = FuzzProgram(spec)
@@ -66,20 +64,20 @@ def band_spec():
             return spec, entries, profile, fallback_reasons
     pytest.fail(
         f"no probe seed in {_PROBE_SEEDS} ran dpred episodes on the "
-        f"vector path — the dmp-gang band would be exercising nothing"
+        f"native kernel — the dmp-gang band would be exercising nothing"
     )
 
 
 def test_band_runs_dpred_episodes_on_the_vector_path(band_spec):
     _, entries, profile, _ = band_spec
     assert entries > 0
-    assert profile["episode_tails"] > 0, profile
+    assert profile["step_loop"] > 0, profile
 
 
 def test_band_lanes_stay_on_the_vector_path(band_spec):
-    # A plain-dmp sizing that falls off the vector envelope would turn
-    # the band into a fast-engine self-comparison; the chosen seed must
-    # keep every lane vectorized.
+    # A plain-dmp sizing that falls outside the kernel's envelope would
+    # turn the band into a fast-engine self-comparison; the chosen seed
+    # must keep every cell on the kernel.
     _, _, _, fallback_reasons = band_spec
     assert fallback_reasons == {}, fallback_reasons
 

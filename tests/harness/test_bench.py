@@ -268,8 +268,7 @@ class TestRunBench:
         # Phase attribution must account for the group's wall time and
         # carry every phase key, measured not estimated.
         assert set(cell["profile"]) == {
-            "arena_build", "step_loop", "episode_tails",
-            "scalar_walks", "scalar_fallback",
+            "arena_build", "step_loop", "scalar_fallback",
         }
         assert cell["profile"]["step_loop"] > 0
         # Batch cells carry no warm/traced keys; the summary treats the
@@ -282,24 +281,25 @@ class TestRunBench:
             "batch-dmp-test", benchmarks=("gzip",), iterations=60,
             seeds=(0,), sample=2, cache=None, say=lambda _msg: None,
             config_names=bench.DMP_BATCH_CONFIGS, use_hints=True,
-            fast_modes=("dmp",),
+            fast_modes=("dmp",), repeats=2,
         )
         assert cell["identical"] is True
         assert cell["degenerate"] is False
         assert cell["sweep_cells"] == len(
             bench._batch_grid(bench.DMP_BATCH_CONFIGS)
         )
-        # The dmp arm must actually predicate on the vector path: the
+        # The dmp arm must actually predicate on the native kernel: the
         # fast-engine comparator samples dmp-mode cells only and its
         # geomean is the headline the CI gate rides on.
         assert cell["fast_sampled_cells"] > 0
         assert cell["speedup_fast_dmp"] > 0
         assert cell["fast_percell_s"] > 0
-        # dmp lanes must actually run dpred episodes on the vector
-        # path: a sweep whose episodes all fell back to the fast engine
-        # (or never entered) would silently measure the wrong thing.
+        # dmp cells must actually run dpred episodes on the kernel: a
+        # sweep whose cells all fell back to the fast engine (or never
+        # entered an episode) would silently measure the wrong thing.
         assert cell["dpred_entries"] > 0
-        assert cell["profile"]["episode_tails"] > 0
+        assert cell["fallback_reasons"] == {}
+        assert cell["profile"]["step_loop"] > 0
 
 
 class TestFindLatestBaseline:
