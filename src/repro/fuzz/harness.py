@@ -94,10 +94,11 @@ def mode_configs() -> Dict[str, MachineConfig]:
     ``dmp`` runs fully enhanced (multiple CFM + early exit + multiple
     diverge) and ``loop-pred`` adds loop predication on top — the widest
     predication surface the simulator has, which is what the fuzzer
-    should be hammering.  ``dmp-basic`` is the plain Table-1 machine:
-    unlike the enhanced variant it sits inside the batch engine's
-    envelope, so an unhardened batch sweep exercises the native
-    kernel's predicated episodes rather than the fast-engine
+    should be hammering.  ``dmp-basic`` is the plain Table-1 machine.
+    Both dmp machines sit inside the batch engine's envelope, so an
+    unhardened batch sweep runs their predicated episodes — early
+    exits, restarts and selects included — on the native kernel;
+    ``loop-pred``, ``wish`` and ``mpp`` take the fast-engine
     fallback."""
     return {
         "baseline": MachineConfig.baseline(),

@@ -7,7 +7,10 @@ tables.  All of it is computed lazily and cached, so sweeping N machine
 configurations over one benchmark pays the (comparatively expensive)
 profiling cost once.
 
-Two further layers sit on top (docs/performance.md):
+At ``jobs=1``, :func:`run_suite` simulates each benchmark's cells in one
+call into the batch engine (:mod:`repro.uarch.batch`), whose native
+kernel runs every cell inside its envelope.  Two further layers sit on
+top (docs/performance.md):
 
 * every artifact and every completed :class:`~repro.uarch.stats.SimStats`
   can be persisted to an :class:`~repro.harness.cache.ArtifactCache`,
@@ -91,7 +94,7 @@ class BenchmarkContext:
         self._analysis_loaded = False
         #: Wall-clock seconds spent in each stage *by this process*.
         self.stage_seconds: Dict[str, float] = {
-            "build": 0.0, "profile": 0.0, "simulate": 0.0,
+            "build": 0.0, "trace": 0.0, "profile": 0.0, "simulate": 0.0,
         }
         self.sims_run = 0        # timing simulations actually executed
         self.sim_memo_hits = 0   # served from the in-memory memo
@@ -171,7 +174,7 @@ class BenchmarkContext:
                 workload = self.workload  # timed as "build"
                 t0 = time.perf_counter()
                 self._trace = workload.run()
-                self._timed("profile", t0)
+                self._timed("trace", t0)
                 if self._cache is not None:
                     self._cache.store_pickle(
                         "trace", self.fingerprint, self._trace
@@ -455,6 +458,9 @@ class SuiteTimings:
     jobs: int = 1
     wall_seconds: float = 0.0
     build_seconds: float = 0.0
+    #: The functional run that produces each benchmark's trace.
+    trace_seconds: float = 0.0
+    #: Profiling, diverge selection and hint tables.
     profile_seconds: float = 0.0
     #: Aggregate simulation seconds (across workers when parallel, so it
     #: can exceed ``wall_seconds``).
@@ -462,7 +468,7 @@ class SuiteTimings:
     simulations_run: int = 0
     sim_memo_hits: int = 0
     sim_cache_hits: int = 0
-    #: Batch executor only: cells that ran on the native kernel vs
+    #: Serial executor only: cells that ran on the native kernel vs
     #: cells that fell back to the fast engine, the latter grouped by
     #: their ``run_batch`` fallback reason string.
     batch_kernel_cells: int = 0
@@ -475,6 +481,7 @@ class SuiteTimings:
         lines = [
             f"timings (jobs={self.jobs}): wall={self.wall_seconds:.2f}s",
             f"  build={self.build_seconds:.2f}s  "
+            f"trace={self.trace_seconds:.2f}s  "
             f"profile={self.profile_seconds:.2f}s  "
             f"simulate={self.simulate_seconds:.2f}s (aggregate)",
             f"  simulations: {self.simulations_run} run, "
@@ -568,6 +575,7 @@ def _accumulate_deltas(
 ) -> None:
     for context, (stages, sims, memo, disk) in zip(contexts, before):
         timings.build_seconds += context.stage_seconds["build"] - stages["build"]
+        timings.trace_seconds += context.stage_seconds["trace"] - stages["trace"]
         timings.profile_seconds += (
             context.stage_seconds["profile"] - stages["profile"]
         )
@@ -620,11 +628,68 @@ def _simulate_cell(
 def _execute_serial(
     run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
 ) -> None:
-    """One cell at a time, in deterministic order."""
+    """In process, one benchmark at a time.
+
+    A benchmark's untraced ``engine="fast"``/``"batch"`` cells go to
+    one :func:`repro.uarch.batch.run_batch` call, so its arenas are
+    built once for all its configs and freed before the next benchmark.
+    Each cell runs on the native kernel, or on the fast engine inside
+    ``run_batch`` when it is outside the kernel's envelope (hardened or
+    ``--paranoid`` runs, for one) — bit-identical either way.  Traced
+    cells (the event stream needs a live Python simulator) and
+    ``engine="reference"`` cells go through ``context.simulate``.
+    Memoized and disk-cached cells are served without simulating.
+    """
+    from repro.uarch import batch
+
     for context in run_contexts:
+        done: Dict[str, SimStats] = {}
+        cells: List = []
+        pending: List[Tuple[str, MachineConfig]] = []
         for label, config in configs.items():
-            stats = _simulate_cell(context, label, config, trace_dir, verbose)
-            result.add(context.name, label, stats)
+            if trace_dir is not None or config.engine == "reference":
+                done[label] = _simulate_cell(
+                    context, label, config, trace_dir, verbose
+                )
+                continue
+            stats = context.cached_stats(config)
+            if stats is not None:
+                done[label] = stats
+                continue
+            hints = context.hints_for(config)
+            trace = context.trace
+            context._load_analysis()
+            cells.append(batch.BatchCell(
+                context.program, trace, config.replace(engine="batch"),
+                hints=hints, benchmark=context.name,
+                warm_words=context.workload.memory.warm_words(),
+            ))
+            pending.append((label, config))
+        if cells:
+            reasons: Dict[str, int] = {}
+            t0 = time.perf_counter()
+            # Looked up at call time: the benchmark's traced run patches
+            # repro.uarch.batch.run_batch.
+            stats_list = batch.run_batch(cells, fallback_reasons=reasons)
+            context.stage_seconds["simulate"] += time.perf_counter() - t0
+            context.sims_run += len(cells)
+            context._store_analysis()
+            timings.batch_kernel_cells += len(cells) - sum(reasons.values())
+            for reason, count in reasons.items():
+                timings.batch_fallbacks[reason] = (
+                    timings.batch_fallbacks.get(reason, 0) + count
+                )
+            for (label, config), stats in zip(pending, stats_list):
+                context.store_stats(config, stats)
+                done[label] = stats
+                if verbose:
+                    print(
+                        f"  {context.name:8s} {label:24s} "
+                        f"IPC={stats.ipc:.3f} "
+                        f"flushes={stats.pipeline_flushes}"
+                    )
+        for label in configs:
+            result.add(context.name, label, done[label])
 
 
 def _execute_pool(
@@ -644,81 +709,17 @@ def _execute_pool(
             result.add(context.name, label, stats_map[(context.name, label)])
 
 
-def _execute_batch(
-    run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
-) -> None:
-    """All cells through the batch engine in one ``run_batch`` call.
-
-    Every config is run with ``engine="batch"`` (the engine is
-    bit-identical: each cell runs on the native kernel, or on the fast
-    engine inside ``run_batch`` when it is outside the kernel's
-    envelope or no kernel could be built).  Memoized / disk-cached cells
-    are served without simulating; traced cells cannot batch (the event
-    stream needs a live scalar simulator) and run serially instead.
-    """
-    from repro.uarch.batch import BatchCell, run_batch
-
-    cells: List = []
-    meta: List[Tuple[BenchmarkContext, str, MachineConfig]] = []
-    for context in run_contexts:
-        for label, config in configs.items():
-            effective = (
-                config if config.engine == "batch"
-                else config.replace(engine="batch")
-            )
-            if trace_dir is not None:
-                stats = _simulate_cell(
-                    context, label, effective, trace_dir, verbose
-                )
-                result.add(context.name, label, stats)
-                continue
-            stats = context.cached_stats(effective)
-            if stats is not None:
-                result.add(context.name, label, stats)
-                continue
-            hints = context.hints_for(effective)
-            warm = context.workload.memory.warm_words()
-            context._load_analysis()
-            cells.append(BatchCell(
-                context.program, context.trace, effective, hints=hints,
-                benchmark=context.name, warm_words=warm,
-            ))
-            meta.append((context, label, effective))
-    if not cells:
-        return
-    fell_before = sum(timings.batch_fallbacks.values())
-    t0 = time.perf_counter()
-    stats_list = run_batch(cells, fallback_reasons=timings.batch_fallbacks)
-    per_cell = (time.perf_counter() - t0) / len(cells)
-    fell = sum(timings.batch_fallbacks.values()) - fell_before
-    timings.batch_kernel_cells += len(cells) - fell
-    for (context, label, effective), stats in zip(meta, stats_list):
-        context.stage_seconds["simulate"] += per_cell
-        context.sims_run += 1
-        context._store_analysis()
-        context.store_stats(effective, stats)
-        result.add(context.name, label, stats)
-        if verbose:
-            print(
-                f"  {context.name:8s} {label:24s} IPC={stats.ipc:.3f} "
-                f"flushes={stats.pipeline_flushes}"
-            )
-
-
 #: Pluggable suite executors: how the (benchmark, config) cells of one
-#: suite run are simulated.  All three produce bit-identical results;
-#: tests/harness/test_parallel.py and tests/core/test_engine_batch.py
+#: suite run are simulated.  Both produce bit-identical results;
+#: tests/harness/test_parallel_cache.py and tests/core/test_engine_batch.py
 #: hold them to it.
 SUITE_EXECUTORS = {
     "serial": _execute_serial,
     "pool": _execute_pool,
-    "batch": _execute_batch,
 }
 
 
-def _resolve_executor(
-    executor: Optional[str], configs: Dict[str, MachineConfig], jobs: int
-) -> str:
+def _resolve_executor(executor: Optional[str], jobs: int) -> str:
     if executor is not None:
         if executor not in SUITE_EXECUTORS:
             raise ReproError(
@@ -726,8 +727,6 @@ def _resolve_executor(
                 f"{sorted(SUITE_EXECUTORS)}"
             )
         return executor
-    if any(config.engine == "batch" for config in configs.values()):
-        return "batch"
     return "pool" if jobs > 1 else "serial"
 
 
@@ -752,13 +751,17 @@ def run_suite(
     returning stats for different parameters.
 
     The cells are dispatched through a pluggable *executor*
-    (``SUITE_EXECUTORS``): ``"serial"`` simulates one cell at a time,
-    ``"pool"`` fans out over a process pool, and ``"batch"`` runs every
-    cell through the batch engine (:mod:`repro.uarch.batch`: a native C
-    kernel, one call per cell) in one ``run_batch`` call.  When
-    ``executor`` is not given it is inferred: ``"batch"`` if any config selects
-    ``engine="batch"``, else ``"pool"`` when ``jobs > 1``, else
-    ``"serial"``.  All executors return bit-identical results.
+    (``SUITE_EXECUTORS``): ``"serial"`` runs in process, one
+    :func:`repro.uarch.batch.run_batch` call per benchmark holding its
+    ``engine="fast"``/``"batch"`` cells — each on the native kernel, or
+    on the fast engine when outside the kernel's envelope — while
+    ``engine="reference"`` and traced cells go through
+    :meth:`BenchmarkContext.simulate`; ``"pool"`` fans the cells out
+    over a process pool, each through ``BenchmarkContext.simulate``.
+    When ``executor`` is not given it is ``"pool"`` for ``jobs > 1``,
+    else ``"serial"``.  Both executors return bit-identical results;
+    ``result.timings`` counts the serial executor's kernel cells and
+    fallbacks (by reason).
 
     ``cache`` (an :class:`ArtifactCache` or directory path) persists
     artifacts and stats across invocations.
@@ -799,7 +802,7 @@ def run_suite(
     before = [_context_snapshot(context) for context in run_contexts]
     timings = SuiteTimings(jobs=jobs)
 
-    execute = SUITE_EXECUTORS[_resolve_executor(executor, configs, jobs)]
+    execute = SUITE_EXECUTORS[_resolve_executor(executor, jobs)]
     execute(
         run_contexts, configs, jobs=jobs, verbose=verbose,
         trace_dir=trace_dir, result=result, timings=timings,
@@ -863,8 +866,7 @@ def run_multi_seed(
     """Run the suite once per seed (each seed regenerates every data
     array, so traces and profiles differ while CFG shapes stay fixed).
     ``jobs``/``cache``/``executor`` are forwarded to each per-seed
-    :func:`run_suite` — multi-seed sweeps are exactly the shape the
-    ``"batch"`` executor exists for."""
+    :func:`run_suite`."""
     out = MultiSeedResult()
     benchmarks = list(benchmarks)
     for seed in seeds:

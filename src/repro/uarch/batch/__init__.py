@@ -13,8 +13,8 @@ Public surface:
 * :func:`cell_supported` — per-cell configuration envelope check with
   a human-readable reason for fallbacks.
 
-numpy is a required dependency; importing this package without it
-raises ``ImportError``.  Without a C compiler every cell falls back to
+The package needs only the standard library: arena tables are
+``array.array`` buffers.  Without a C compiler every cell falls back to
 the fast engine.  See docs/performance.md for the design and the
 measured speedups.
 """

@@ -1,58 +1,41 @@
 """Static tables for the batch engine's native kernel (``engine="batch"``).
 
-Everything that does not depend on a cell's *timing* is precomputed
-here, once per program and once per (trace, warm-up) inside each
+Everything that does not depend on a cell's configuration is
+precomputed here, once per program and once per trace inside each
 ``run_batch`` call, and shared by every cell of that call.  The arenas
 are plain locals of the call: nothing is memoized across calls, so they
-die when it returns.  Every table is a flat C-contiguous int64 numpy
-array that ``kernel.c`` reads in place.
+die when it returns.  Every table is a flat ``array.array`` of 64-bit
+integers that ``kernel.c`` reads in place; two-dimensional tables are
+stored row-major with their strides (``L`` rows per block, ``K``
+sources per row) given alongside.
 
 * **Program tables** (:class:`ProgramArena`) — the per-block row decode
   of :class:`~repro.uarch.plan.BlockPlan`, padded into rectangular
   tables, plus successor block ids, perceptron/JRS indices, BTB
   redirect sites and reconvergence PCs for wrong-path walks.
 
-* **Trace tables** (:class:`TraceArena`) — the memory system, store
-  buffer, return-address stack and architectural call context are
-  *timing-independent*: the access sequence they observe is fixed by
-  the trace alone, because wrong-path walks touch only the fetch-cycle
-  accounting and the speculative history (see
-  ``_walk_wrong_path_fast``), never the caches, the store buffer, the
-  BTB, the RAS or the ROB, and dpred episodes consume every trace
-  record exactly once.  One scalar replay per trace therefore pins down
-  every icache stall, every load's latency or forwarding source, every
-  RAS underflow and the call stack at each record — for every cell of
-  that trace at once.
+* **Trace tables** (:class:`TraceArena`) — each record's block id and
+  branch direction, and the addresses of its loads and stores.  The
+  kernel simulates the caches, the store buffer, the return-address
+  stack and the call context itself: an early exit that flushes a
+  mispredicted diverge branch fetches the alternate path's records a
+  second time, so what those structures see depends on timing.
 
-The replays reimplement the LRU/FIFO update rules of
-:mod:`repro.memsys.cache` and :mod:`repro.uarch.storebuffer` in lean
-scalar form; the engine-differential suite (bit-identical ``SimStats``
-against the reference engine) is the guard that they stay
-decision-identical.
-
-The BTB is the one structure the kernel still updates per cell, but
-only through ``_taken_redirect``: each redirect PC always maps to the
-same target, so as long as no BTB set can overflow (checked statically
-per program) a one-bit "seen" flag per redirect site reproduces every
+The BTB is the one structure the kernel models by a shortcut, and only
+through ``_taken_redirect``: each redirect PC always maps to the same
+target, so as long as no BTB set can overflow (checked statically per
+program) a one-bit "seen" flag per redirect site reproduces every
 hit/miss decision.  Programs that could evict fall back to the fast
 engine.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.cfg.analysis import ProgramAnalysis
-from repro.uarch.plan import (
-    KIND_LOAD,
-    KIND_STORE,
-    TERM_BR,
-    TERM_CALL,
-    TERM_JMP,
-    TERM_RET,
-)
+from repro.uarch.plan import KIND_LOAD, KIND_STORE, TERM_BR, TERM_CALL, TERM_JMP
 
 #: Architectural register file size plus the two synthetic columns the
 #: kernel routes padded reads/writes through: ``ZREG`` always reads 0
@@ -71,25 +54,29 @@ JREG = NUM_ARCH_REGS + 1
 NO_PC = -1
 NO_RECONV = -1
 
-#: Fixed Table 2 geometry the trace replay assumes (enforced by
-#: ``cell_supported``).  Sizes are in cache *lines* of 8 words.
-_L1I_SETS, _L1I_WAYS, _L1I_LAT = 512, 2, 2
-_L1D_SETS, _L1D_WAYS, _L1D_LAT = 256, 4, 2
-_L2_SETS, _L2_WAYS, _L2_LAT = 2048, 8, 10
-_MEM_LAT = 300
-_LINE_WORDS = 8
-_SB_CAPACITY = 128
-_RAS_DEPTH = 64
 _BTB_SETS, _BTB_WAYS = 1024, 4
 _PERCEPTRONS = 1021
-_HISTORY_BITS = 31
+
+#: Memory addresses are 64-bit words; the kernel reads them as signed
+#: int64, whose two's-complement view keeps line numbers and set
+#: indices exact (see ``line_of`` in kernel.c).
+_ADDRESS_MASK = (1 << 64) - 1
+
+
+def words(values) -> array:
+    """``values`` as an unsigned 64-bit table (masked to 64 bits when a
+    value lies outside ``[0, 2**64)``)."""
+    try:
+        return array("Q", values)
+    except OverflowError:
+        return array("Q", [value & _ADDRESS_MASK for value in values])
 
 
 class ProgramArena:
-    """Rectangular numpy decode of one program's block plans.
+    """Rectangular decode of one program's block plans.
 
-    Row tables are ``[block, row]`` (``L`` rows per block) and source
-    tables ``[block, row, slot]`` (``K`` slots); padding reads ``ZREG``
+    Row tables are ``[block][row]`` (``L`` rows per block) and source
+    tables ``[block][row][slot]`` (``K`` slots); padding reads ``ZREG``
     and writes ``JREG``."""
 
     def __init__(self, program) -> None:
@@ -113,32 +100,39 @@ class ProgramArena:
                     K = len(row[5])
         self.L, self.K = L, K
 
-        self.NROWS = np.zeros(n, np.int64)
-        self.NBODY = np.zeros(n, np.int64)  # rows minus a BR terminator
-        self.FPC = np.full(n, NO_PC, np.int64)
-        self.TERM = np.zeros(n, np.int64)
-        self.TAKEN = np.full(n, -1, np.int64)
-        self.FALL = np.full(n, -1, np.int64)
-        self.TARGET = np.full(n, -1, np.int64)
-        self.CALLEE = np.full(n, -1, np.int64)
-        self.SITE = np.full(n, -1, np.int64)
-        self.PCT = np.zeros(n, np.int64)
-        self.JPC = np.zeros(n, np.int64)
+        def table(fill, size):
+            return array("q", [fill]) * size
+
+        self.NROWS = table(0, n)
+        self.NBODY = table(0, n)  # rows minus a BR terminator
+        self.FPC = table(NO_PC, n)
+        self.TERM = table(0, n)
+        self.TAKEN = table(-1, n)
+        self.FALL = table(-1, n)
+        self.TARGET = table(-1, n)
+        self.CALLEE = table(-1, n)
+        self.SITE = table(-1, n)
+        self.PCT = table(0, n)
+        self.JPC = table(0, n)
         #: Raw terminating-branch PC for BR blocks (-1 otherwise): the
         #: diverge-hint table is keyed by the branch instruction's PC,
         #: which ``JPC`` (already shifted for the JRS index) cannot
         #: recover.
-        self.BRPC = np.full(n, -1, np.int64)
-        self.RECONV = np.full(n, NO_RECONV, np.int64)
-        self.BRLAT = np.zeros(n, np.int64)
-        self.BRSRC = np.full((n, K), ZREG, np.int64)
-        self.RKIND = np.zeros((n, L), np.int64)
-        self.RLAT = np.zeros((n, L), np.int64)
-        self.RDEST = np.full((n, L), JREG, np.int64)
-        self.RSRC = np.full((n, L, K), ZREG, np.int64)
-        self.RLORD = np.full((n, L), -1, np.int64)
-        self.RSTORD = np.full((n, L), -1, np.int64)
+        self.BRPC = table(-1, n)
+        self.RECONV = table(NO_RECONV, n)
+        self.BRLAT = table(0, n)
+        self.BRSRC = table(ZREG, n * K)
+        self.RKIND = table(0, n * L)
+        self.RLAT = table(0, n * L)
+        self.RDEST = table(JREG, n * L)
+        self.RSRC = table(ZREG, n * L * K)
+        #: A load or store row's position among its block's memory
+        #: accesses (the index into its record's addresses), else -1.
+        self.RMORD = table(-1, n * L)
 
+        #: Loads plus stores per block: the memory addresses each of its
+        #: trace records must carry.
+        self.memory_ops: List[int] = [0] * n
         sites: Dict[int, int] = {}  # redirect pc -> dense site id
 
         def _gid_of(plan_block, function) -> int:
@@ -161,22 +155,21 @@ class ProgramArena:
                 self.CALLEE[b] = self.gid[
                     (plan.callee_name, plan.callee_block.name)
                 ]
-            loads = stores = 0
+            memory_ops = 0
             for i, (cond, kind, latency, _lat1, dest, srcs) in enumerate(
                 plan.rows
             ):
-                self.RKIND[b, i] = kind
-                self.RLAT[b, i] = latency
+                row = b * L + i
+                self.RKIND[row] = kind
+                self.RLAT[row] = latency
                 if dest >= 0:
-                    self.RDEST[b, i] = dest
+                    self.RDEST[row] = dest
                 for j, src in enumerate(srcs):
-                    self.RSRC[b, i, j] = src
-                if kind == KIND_LOAD:
-                    self.RLORD[b, i] = loads
-                    loads += 1
-                elif kind == KIND_STORE:
-                    self.RSTORD[b, i] = stores
-                    stores += 1
+                    self.RSRC[row * K + j] = src
+                if kind in (KIND_LOAD, KIND_STORE):
+                    self.RMORD[row] = memory_ops
+                    memory_ops += 1
+            self.memory_ops[b] = memory_ops
             if plan.term_kind in (TERM_BR, TERM_JMP, TERM_CALL):
                 pc = plan.term_pc
                 if pc not in sites:
@@ -193,7 +186,7 @@ class ProgramArena:
                     self.RECONV[b] = reconv
                 self.BRLAT[b] = plan.rows[-1][2]
                 for j, src in enumerate(plan.rows[-1][5]):
-                    self.BRSRC[b, j] = src
+                    self.BRSRC[b * K + j] = src
 
         self.nsites = len(sites)
         # Static BTB no-eviction check: the seen-bit model is exact only
@@ -207,152 +200,38 @@ class ProgramArena:
                 self.reason = "BTB set can overflow (eviction possible)"
 
 
-class _LRU:
-    """One LRU cache level as insertion-ordered dicts (see Cache)."""
-
-    __slots__ = ("sets", "ways", "nsets")
-
-    def __init__(self, nsets: int, ways: int) -> None:
-        self.nsets = nsets
-        self.ways = ways
-        self.sets: List[dict] = [{} for _ in range(nsets)]
-
-    def access(self, line: int) -> bool:
-        entry_set = self.sets[line % self.nsets]
-        if line in entry_set:
-            del entry_set[line]
-            entry_set[line] = True
-            return True
-        if len(entry_set) >= self.ways:
-            del entry_set[next(iter(entry_set))]
-        entry_set[line] = True
-        return False
-
-
 class TraceArena:
-    """Trace-static record tables for one (program, trace, warmup)."""
+    """Per-record tables for one (program, trace): ``RBLK`` (block id),
+    ``RTAKEN`` (branch direction), ``RM0`` (the record's first entry in
+    ``MADDR``) and ``MADDR`` (every record's load and store addresses,
+    in fetch order)."""
 
-    def __init__(self, parena: ProgramArena, program, trace,
-                 warm_words) -> None:
+    def __init__(self, parena: ProgramArena, trace) -> None:
         records = trace.records
-        nrec = len(records)
-        self.nrec = nrec
-
-        self.RBLK = np.zeros(nrec, np.int64)
-        self.REXTRA = np.zeros(nrec, np.int64)
-        self.RTAKEN = np.zeros(nrec, np.int64)
-        self.RL0 = np.zeros(nrec, np.int64)
-        self.RS0 = np.zeros(nrec, np.int64)
-        self.RUNDER = np.zeros(nrec, np.int64)
-        self.RNODE = np.full(nrec, -1, np.int64)
-        self.RFPC = np.full(nrec, NO_PC, np.int64)
-
-        l1i = _LRU(_L1I_SETS, _L1I_WAYS)
-        l1d = _LRU(_L1D_SETS, _L1D_WAYS)
-        l2 = _LRU(_L2_SETS, _L2_WAYS)
-        if warm_words:
-            for address in warm_words:
-                l2.access(address // _LINE_WORDS)
-
-        # Store buffer FIFO of (address, local ordinal); per-address
-        # buckets searched youngest-first, exactly like StoreBuffer.
-        fifo: List[Tuple[int, int]] = []
-        by_addr: Dict[int, List[int]] = {}
-        fifo_head = 0  # logical popleft via index (amortized rebuild)
-
-        ras_len = 0
-        node_parent: List[int] = []
-        node_ret: List[int] = []
-        node = -1
-
-        load_lat: List[int] = []
-        load_fwd: List[int] = []
         gid = parena.gid
-        TERM = parena.TERM
-        FALL = parena.FALL
-        nstores = 0
-
-        for r, record in enumerate(records):
-            b = gid[(record.function, record.block.name)]
-            self.RBLK[r] = b
-            self.RL0[r] = len(load_lat)
-            self.RS0[r] = nstores
-            self.RNODE[r] = node
-            fpc = parena.FPC[b]
-            self.RFPC[r] = fpc
-            if record.taken:
-                self.RTAKEN[r] = 1
-
-            # _icache_fetch(first_pc): inst_access(pc // 8).
-            line = (fpc // _LINE_WORDS) // _LINE_WORDS
-            if l1i.access(line):
-                extra = 0
-            elif l2.access(line):
-                extra = _L2_LAT
-            else:
-                extra = _L2_LAT + _MEM_LAT
-            self.REXTRA[r] = extra
-
-            term = TERM[b]
-            nbody = int(parena.NBODY[b])
-            mem_addrs = record.mem_addrs
-            mem_pos = 0
-            for i in range(nbody):
-                kind = parena.RKIND[b, i]
-                if kind == KIND_LOAD:
-                    address = mem_addrs[mem_pos]
-                    mem_pos += 1
-                    bucket = by_addr.get(address)
-                    fwd = bucket[-1] if bucket else -1
-                    if fwd >= 0:
-                        load_fwd.append(fwd)
-                        load_lat.append(0)
-                    else:
-                        load_fwd.append(-1)
-                        dline = address // _LINE_WORDS
-                        if l1d.access(dline):
-                            lat = _L1D_LAT
-                        elif l2.access(dline):
-                            lat = _L1D_LAT + _L2_LAT
-                        else:
-                            lat = _L1D_LAT + _L2_LAT + _MEM_LAT
-                        load_lat.append(lat)
-                elif kind == KIND_STORE:
-                    address = mem_addrs[mem_pos]
-                    mem_pos += 1
-                    if len(fifo) - fifo_head >= _SB_CAPACITY:
-                        evicted_addr, evicted_ord = fifo[fifo_head]
-                        fifo_head += 1
-                        ebucket = by_addr[evicted_addr]
-                        ebucket.remove(evicted_ord)
-                        if not ebucket:
-                            del by_addr[evicted_addr]
-                        if fifo_head > 4096:
-                            del fifo[:fifo_head]
-                            fifo_head = 0
-                    fifo.append((address, nstores))
-                    by_addr.setdefault(address, []).append(nstores)
-                    nstores += 1
-
-            if term == TERM_CALL:
-                if FALL[b] >= 0:
-                    if ras_len < _RAS_DEPTH:
-                        ras_len += 1
-                    node_parent.append(node)
-                    node_ret.append(int(FALL[b]))
-                    node = len(node_parent) - 1
-            elif term == TERM_RET:
-                if node >= 0:
-                    node = node_parent[node]
-                if ras_len == 0:
-                    self.RUNDER[r] = 1
-                else:
-                    ras_len -= 1
-
-        self.LLAT = np.asarray(load_lat, np.int64)
-        self.LFWD = np.asarray(load_fwd, np.int64)
-        self.nloads = len(load_lat)
-        self.nstores = nstores
-        self.NODEPAR = np.asarray(node_parent, np.int64)
-        self.NODERET = np.asarray(node_ret, np.int64)
-        self.nnodes = len(node_parent)
+        memory_ops = parena.memory_ops
+        ids: Dict[int, int] = {}  # id(block) -> block id
+        blocks, taken, first, addresses = [], [], [], []
+        for rec in records:
+            block = rec.block
+            b = ids.get(id(block))
+            if b is None:
+                # By name, not identity: a trace loaded from the
+                # artifact cache holds copies of the program's blocks.
+                b = ids[id(block)] = gid[(rec.function, block.name)]
+            if len(rec.mem_addrs) < memory_ops[b]:
+                # The kernel indexes the addresses without a bound.
+                raise ValueError(
+                    f"trace record {len(blocks)} ({rec.function}/"
+                    f"{block.name}) carries fewer memory addresses than "
+                    "its block has loads and stores"
+                )
+            blocks.append(b)
+            taken.append(1 if rec.taken else 0)
+            first.append(len(addresses))
+            addresses.extend(rec.mem_addrs)
+        self.nrec = len(records)
+        self.RBLK = array("q", blocks)
+        self.RTAKEN = array("q", taken)
+        self.RM0 = array("q", first)
+        self.MADDR = words(addresses)

@@ -3,8 +3,8 @@
 :func:`run_batch` checks each cell against the kernel's envelope
 (:func:`cell_supported`, then the program arena's BTB check), builds
 the static arenas of :mod:`repro.uarch.batch.arena` once per program
-and once per (trace, warm-up words), and hands every in-envelope cell
-to the C kernel (``kernel.c``, loaded by :mod:`repro.uarch.batch.native`).
+and once per trace, and hands every in-envelope cell to the C kernel
+(``kernel.c``, loaded by :mod:`repro.uarch.batch.native`).
 Cells outside the envelope, and every cell when the kernel cannot be
 built, run on the fast engine instead.
 
@@ -15,19 +15,22 @@ equals the reference engine's field for field, whichever way it ran
 
 from __future__ import annotations
 
+from array import array
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.cfm import CfmCam
 from repro.uarch.batch import native
-from repro.uarch.batch.arena import ProgramArena, TraceArena
+from repro.uarch.batch.arena import ProgramArena, TraceArena, words
 from repro.uarch.plan import TERM_BR
 from repro.uarch.stats import SimStats
 
 #: JRS counter ceiling (``make_estimator("jrs")`` geometry).
 _JMAX = 15
+
+#: Deepest ``max_nested_diverge`` the kernel runs: its nested episodes
+#: recurse on the C stack, one frame (about 1.5 KB) per level.
+MAX_NESTED = 64
 
 
 class BatchCell:
@@ -53,9 +56,14 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
     """Whether the native kernel can run this cell bit-identically,
     judged from its configuration and tracer.
 
-    Anything outside the envelope is not an error — ``run_batch`` falls
-    back to the fast engine per cell — but the reason string feeds the
-    differential tests and ``docs/performance.md``.  The program-level
+    The envelope is baseline, dualpath and dmp/dhp — the Figure 9
+    enhancements (multiple CFM points, early exit, multiple diverge
+    branches under either policy, selective predictor update) included
+    — on the default predictor, confidence estimator and Table 2
+    geometry.  Anything outside it is not an error — ``run_batch``
+    falls back to the fast engine per cell — but the reason string
+    names what is missing, for the differential tests, the ``run_suite``
+    fallback summary and ``docs/performance.md``.  The program-level
     check (:attr:`ProgramArena.vector_ok`) runs in ``run_batch``, which
     builds the program's arena.
     """
@@ -65,19 +73,17 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
     if cell.tracer is not None:
         return False, "event tracer attached"
     if config.mode in ("dmp", "dhp"):
-        # The kernel runs plain dynamic predication; each enhancement it
-        # does not is named so the fallback summary can group by it.
         if config.loop_predication:
             return False, "loop predication (loop episodes are scalar-only)"
-        if config.early_exit:
-            return False, "early exit (alternate-path early exit is scalar-only)"
-        if config.multiple_diverge:
+        if (
+            config.multiple_diverge
+            and config.multiple_diverge_policy == "nested"
+            and config.max_nested_diverge > MAX_NESTED
+        ):
             return False, (
-                "multiple diverge branches "
-                "(restart/nested episodes are scalar-only)"
+                f"max_nested_diverge above {MAX_NESTED} "
+                "(deeper nesting is scalar-only)"
             )
-        if config.selective_predictor_update:
-            return False, "selective predictor update (scalar-only)"
     elif config.mode == "mpp":
         # The learned merge-point table changes between lookups as the
         # predictor trains; the kernel reads each diverge branch's CFM
@@ -123,31 +129,39 @@ def _jrs_threshold(config) -> int:
     return min(threshold, _JMAX)
 
 
-def _hint_tables(parena: ProgramArena, hints, multiple_cfm: bool):
+def _hint_tables(parena: ProgramArena, hints, multiple_cfm: bool,
+                 default_threshold: int):
     """The kernel's per-block diverge-hint tables for one cell.
 
-    ``hinted[b]`` marks a block whose conditional branch opens episodes:
-    its PC has a usable, non-loop hint (the ``_usable_hint`` and
-    ``_maybe_enter_dpred`` checks).  Its episode's initial
-    :class:`~repro.core.cfm.CfmCam` entries are
-    ``cfmpcs[cfmoff[b]:cfmoff[b + 1]]``."""
+    ``hinted[b]`` is 1 when the PC of block ``b``'s conditional branch
+    has a usable (``_usable_hint``), non-loop hint — a branch that opens
+    episodes (``_maybe_enter_dpred``) — and 2 for a usable loop hint,
+    which only the multiple-diverge watch follows.  The episode's
+    initial :class:`~repro.core.cfm.CfmCam` entries are
+    ``cfmpcs[cfmoff[b]:cfmoff[b + 1]]``, and ``expect[b]`` is its
+    early-exit threshold: the hint's own, else ``default_threshold``."""
     n = parena.n
-    hinted = np.zeros(n, np.int64)
-    cfmoff = np.zeros(n + 1, np.int64)
+    hinted = array("q", [0]) * n
+    expect = array("q", [0]) * n
+    cfmoff = array("q", [0]) * (n + 1)
     pcs: List[int] = []
     for b in range(n):
+        hint = None
         if hints is not None and parena.TERM[b] == TERM_BR:
-            pc = int(parena.BRPC[b])
+            pc = parena.BRPC[b]
             hint = hints.get(pc)
-            if (
-                hint is not None and not hint.is_loop and hint.cfm_pcs
-                and pc not in hint.cfm_pcs
-            ):
-                cam = hint.cfm_pcs if multiple_cfm else (hint.primary_cfm,)
-                hinted[b] = 1
-                pcs.extend(CfmCam(cam).entries)
+            if hint is not None and (not hint.cfm_pcs or pc in hint.cfm_pcs):
+                hint = None
+        if hint is not None:
+            cam = hint.cfm_pcs if multiple_cfm else (hint.primary_cfm,)
+            hinted[b] = 2 if hint.is_loop else 1
+            threshold = hint.early_exit_threshold
+            expect[b] = (
+                default_threshold if threshold is None else threshold
+            )
+            pcs.extend(CfmCam(cam).entries)
         cfmoff[b + 1] = len(pcs)
-    return hinted, cfmoff, np.asarray(pcs or [0], np.int64)
+    return hinted, cfmoff, array("q", pcs), expect
 
 
 def _scalars(config) -> Dict[str, int]:
@@ -163,15 +177,19 @@ def _scalars(config) -> Dict[str, int]:
         "thresh": _jrs_threshold(config),
         "path_limit": config.dpred_path_limit,
         "keep_predicted_ghr": int(config.dpred_ghr_policy == "predicted"),
+        "early_exit": int(config.early_exit),
+        "multiple_diverge": int(config.multiple_diverge),
+        "nested": int(config.multiple_diverge_policy == "nested"),
+        "max_nested": config.max_nested_diverge,
+        "selective": int(config.selective_predictor_update),
     }
 
 
-def _stats(cell: BatchCell, out: np.ndarray) -> SimStats:
+def _stats(cell: BatchCell, values: List[int]) -> SimStats:
     stats = SimStats(
         benchmark=cell.benchmark or cell.trace.program_name,
         config_description=cell.config.describe(),
     )
-    values = out.tolist()
     for name, value in zip(native.STATS_FIELDS, values):
         setattr(stats, name, value)
     stats.retired_instructions = cell.trace.instruction_count
@@ -195,20 +213,21 @@ def run_batch(
     cannot be built (the ``run_suite``/CLI fallback summary).
 
     Every arena is built here, once per distinct program and once per
-    distinct (trace, warm words), and dies when the call returns.
+    distinct trace, and dies when the call returns.
 
     ``profile`` (a dict, accumulated into) receives wall-time phase
-    attribution: ``arena_build`` (program and trace arenas, hint
-    tables), ``step_loop`` (kernel calls, marshalling included) and
-    ``scalar_fallback`` (cells simulated on the fast engine).
+    attribution: ``arena_build`` (program and trace arenas, hint and
+    warm-up tables), ``step_loop`` (kernel calls, marshalling included)
+    and ``scalar_fallback`` (cells simulated on the fast engine).
 
     ``gang_stats`` is accepted and left untouched (it stays empty).
     It is kept only for the benchmark's traced run
     (``perfbench/layers.py``), which passes it."""
     results: List[Optional[SimStats]] = [None] * len(cells)
     parenas: Dict[int, ProgramArena] = {}  # id(program) -> arena
-    tarenas: Dict[Tuple[int, tuple], TraceArena] = {}
-    hint_tables: Dict[Tuple[int, int, bool], tuple] = {}
+    tarenas: Dict[int, TraceArena] = {}  # id(trace) -> arena
+    warm_tables: Dict[int, array] = {}  # id(warm words) -> table
+    hint_tables: Dict[Tuple[int, int, bool, int], tuple] = {}
     build = kernel_time = fallback_time = 0.0
     for i, cell in enumerate(cells):
         ok, reason = cell_supported(cell)
@@ -234,28 +253,31 @@ def run_batch(
             fallback_time += perf_counter() - t0
             continue
         t0 = perf_counter()
-        # The warm-up words set the L2 image the trace replay starts from.
-        warm = tuple(cell.warm_words) if cell.warm_words else ()
-        tkey = (id(cell.trace), warm)
-        tarena = tarenas.get(tkey)
+        tarena = tarenas.get(id(cell.trace))
         if tarena is None:
-            tarena = tarenas[tkey] = TraceArena(
-                parena, cell.program, cell.trace, warm
+            tarena = tarenas[id(cell.trace)] = TraceArena(parena, cell.trace)
+        # The warm-up words set the L2 image the run starts from.
+        warm = warm_tables.get(id(cell.warm_words))
+        if warm is None:
+            warm = warm_tables[id(cell.warm_words)] = words(
+                cell.warm_words or ()
             )
         config = cell.config
         predicating = config.mode in ("dmp", "dhp")
         hkey = (
             id(parena), id(cell.hints) if predicating else 0,
             predicating and config.multiple_cfm,
+            config.early_exit_default_threshold if predicating else 0,
         )
         tables = hint_tables.get(hkey)
         if tables is None:
             tables = hint_tables[hkey] = _hint_tables(
-                parena, cell.hints if predicating else None, hkey[2]
+                parena, cell.hints if predicating else None, hkey[2],
+                hkey[3],
             )
         t1 = perf_counter()
         build += t1 - t0
-        out = kernel.run_cell(parena, tarena, tables, _scalars(config))
+        out = kernel.run_cell(parena, tarena, warm, tables, _scalars(config))
         results[i] = _stats(cell, out)
         kernel_time += perf_counter() - t1
     if profile is not None:

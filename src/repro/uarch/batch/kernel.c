@@ -6,19 +6,22 @@
  * and writes every SimStats counter the batch envelope can produce.  It
  * is a literal transcription of the fast engine's per-record model --
  * TimingSimulator._run_fast and its inlined helpers in
- * repro/uarch/timing.py, and the dmp/dhp episode of
+ * repro/uarch/timing.py, and the dmp/dhp episodes of
  * PredicationAwareSimulator._dpred_once_impl in repro/core/dpred.py --
  * for exactly this envelope (see engine.cell_supported):
  *
- *   - modes baseline, dualpath and plain dmp/dhp (no early exit,
- *     multiple diverge, loop predication or selective update), with the
- *     Table 1 exit cases and select-uops;
+ *   - modes baseline, dualpath and dmp/dhp, with the Table 1 exit cases,
+ *     select-uops and the Figure 9 enhancements: multiple CFM points,
+ *     early exit, multiple diverge branches (the restart and nested
+ *     policies) and the selective predictor update;
  *   - the default perceptron predictor, the JRS confidence estimator and
  *     the Table 2 caches, store buffer, RAS and BTB.
  *
- * Everything timing-independent (icache stalls, load latencies and
- * store-buffer forwarding sources, RAS underflows, the architectural
- * call context) comes precomputed from the trace arena.  The BTB is
+ * The caches, store buffer, return-address stack and architectural call
+ * context are simulated per cell from the trace's block ids and memory
+ * addresses: an early exit that flushes a mispredicted diverge branch
+ * re-fetches the records its alternate path already fetched, so the
+ * access sequence these structures see depends on timing.  The BTB is
  * modelled by one "seen" bit per redirect site, exact because the
  * program arena rejects programs whose BTB sets could evict.
  *
@@ -35,7 +38,7 @@ typedef int64_t i64;
 
 /* Bumped whenever the Cell layout or the output layout changes;
  * native.py refuses a library that reports another value. */
-#define REPRO_KERNEL_ABI 1
+#define REPRO_KERNEL_ABI 2
 
 /* BlockPlan codes (repro/uarch/plan.py). */
 #define KIND_LOAD 1
@@ -49,6 +52,7 @@ typedef int64_t i64;
 /* Register-file columns (arena.py): 32 architectural registers, ZREG
  * (always reads 0, pads source lists) and JREG (write-only junk column,
  * pads the destination of rows that write no register). */
+#define NARCH 32
 #define NREGS 34
 #define JREG 33
 
@@ -65,13 +69,28 @@ typedef int64_t i64;
 #define JMAX 15
 #define JHMASK 0xF
 
+/* Table 2 memory system (repro/memsys/hierarchy.py): set counts, ways
+ * and latencies, 8-word lines; the store buffer and RAS sizes. */
+#define L1I_SETS 512
+#define L1I_WAYS 2
+#define L1D_SETS 256
+#define L1D_WAYS 4
+#define L2_SETS 2048
+#define L2_WAYS 8
+#define L1_LAT 2
+#define L2_LAT 10
+#define MEM_LAT 300
+#define SB_CAP 128 /* a power of two: entries live at ordinal % SB_CAP */
+#define SB_HASH 256
+#define RAS_DEPTH 64
+
 /* Wrong-path walk block guard and control-independence lookahead
  * (TimingSimulator._walk_wrong_path_fast, _CI_LOOKAHEAD_BLOCKS). */
 #define WALK_GUARD 10000
 #define CI_LOOKAHEAD 32
 
-/* Path outcomes an episode in this envelope can produce. */
-enum { P_CFM, P_RESOLVED, P_EXHAUSTED, P_LIMIT };
+/* Path outcomes (repro.core.modes.PathOutcome). */
+enum { P_CFM, P_RESOLVED, P_EXHAUSTED, P_LIMIT, P_NEW_DIVERGE };
 
 /* Output counters, in native.STATS_FIELDS order. */
 enum {
@@ -89,6 +108,9 @@ enum {
     S_SELECT_UOPS,
     S_PRED_FALSE,
     S_LOAD_WAITS,
+    S_EARLY_EXITS,
+    S_DPRED_RESTARTS,
+    S_NESTED_EPISODES,
     S_EXIT_CASE0, /* exit case k is counted at S_EXIT_CASE0 + k, k = 1..6 */
     S_COUNT = S_EXIT_CASE0 + 7
 };
@@ -98,28 +120,49 @@ typedef struct {
     /* configuration */
     i64 dualpath, predicating, width, maxb, depth, rob, rw, stops;
     i64 thresh, path_limit, keep_predicted_ghr;
+    i64 early_exit, multiple_diverge, nested, max_nested, selective;
     /* program arena sizes */
     i64 L, K, nsites;
-    /* trace arena sizes */
-    i64 nrec, nstores;
+    /* trace arena and warm-up sizes */
+    i64 nrec, nwarm;
     /* program arena, per block (rows are [block][L], sources [block][L][K]) */
     const i64 *nrows, *nbody, *fpc, *term, *taken, *fall, *target, *callee;
     const i64 *site, *pct, *jpc, *reconv, *brlat, *brsrc;
-    const i64 *rkind, *rlat, *rdest, *rsrc, *rlord, *rstord;
-    /* trace arena, per record */
-    const i64 *rblk, *rextra, *rtaken, *rl0, *rs0, *runder, *rnode, *rfpc;
-    const i64 *llat, *lfwd, *nodepar, *noderet;
-    /* diverge hints: hinted[b] marks a usable hint on block b's branch,
-     * whose episodes start with the CFM CAM entries
-     * cfmpcs[cfmoff[b] .. cfmoff[b + 1]) */
-    const i64 *hinted, *cfmoff, *cfmpcs;
+    const i64 *rkind, *rlat, *rdest, *rsrc, *rmord;
+    /* trace arena, per record: block, direction, first memory address;
+     * then the memory addresses of every record's loads and stores */
+    const i64 *rblk, *rtaken, *rm0, *maddr;
+    /* words pre-loaded into the L2 before the run */
+    const i64 *warm;
+    /* diverge hints: hinted[b] is 1 for a usable hint on block b's
+     * branch, 2 for a usable loop hint (which only the multiple-diverge
+     * watch follows), 0 otherwise; its episodes start with the CFM CAM
+     * entries cfmpcs[cfmoff[b] .. cfmoff[b + 1]) and expect the CFM
+     * point within expect[b] instructions (the early-exit threshold) */
+    const i64 *hinted, *cfmoff, *cfmpcs, *expect;
 } Cell;
 
-/* A growable stack of block ids (wrong-path and static-path calls). */
+/* A growable stack of block ids (the call context and the walk stacks). */
 typedef struct {
     i64 *v;
     i64 n, cap;
 } Stack;
+
+/* One set-associative LRU cache level: each set's lines most recently
+ * used first, fill[set] of them valid. */
+typedef struct {
+    i64 *tag;
+    uint8_t *fill;
+    i64 sets, ways;
+} Cache;
+
+/* The renaming state a dpred checkpoint restores: register ready
+ * cycles, the RAT's arch->tag mapping and its M bits. */
+typedef struct {
+    i64 rr[NREGS];
+    i64 map[NARCH];
+    uint32_t mbits;
+} Checkpoint;
 
 typedef struct {
     const Cell *c;
@@ -128,18 +171,28 @@ typedef struct {
     /* retirement */
     i64 seq, last, cnt;
     i64 *ring; /* retire cycle per ROB slot */
-    i64 rr[NREGS]; /* register ready cycles */
-    /* stores: data ready, guarding predicate's resolution, predicate id */
-    i64 *sready, *spready, *spid;
+    /* register ready cycles and the RAT (repro/uarch/rat.py) */
+    i64 rr[NREGS];
+    i64 map[NARCH];
+    uint32_t mbits;
+    i64 next_tag;
     i64 next_predicate;
+    /* memory system */
+    Cache l1i, l1d, l2;
+    /* store buffer: the last SB_CAP stores, slot ordinal % SB_CAP;
+     * sb_head chains each address hash's stores youngest first */
+    i64 nst;
+    i64 sb_addr[SB_CAP], sb_prev[SB_CAP];
+    i64 sb_ready[SB_CAP], sb_pready[SB_CAP], sb_pid[SB_CAP];
+    i64 sb_head[SB_HASH];
+    i64 ras; /* return-address stack occupancy */
+    Stack calls; /* architectural call context: return block ids */
     /* predictor state */
     i64 ghr;
     int16_t *weights; /* NPERC x (HBITS + 1) */
     uint8_t *jrs;
     uint8_t *btb_seen;
-    /* registers renamed since the current episode opened */
-    uint64_t written;
-    Stack stack;
+    Stack stack; /* calls pushed by the current wrong-path/static walk */
     int oom;
     i64 out[S_COUNT];
 } Sim;
@@ -149,6 +202,22 @@ typedef struct {
     i64 n;
     i64 locked; /* index into pcs, -1 while unlocked */
 } Cam;
+
+/* A diverge branch instance (BranchContext): record r of block b,
+ * predicted pred with perceptron output `out`, resolving at
+ * `resolution`, predicted from global history `history`. */
+typedef struct {
+    i64 r, b, out, resolution, history;
+    int pred, actual;
+} Diverge;
+
+/* Where the main loop resumes after an episode (_EpisodeEnd): record
+ * `cont`, or, when `restart` is set, a new episode on `next`. */
+typedef struct {
+    i64 cont;
+    int restart;
+    Diverge next;
+} EpisodeEnd;
 
 /* ------------------------------------------------------------------ */
 /* Fetch and retirement primitives                                     */
@@ -221,9 +290,32 @@ static inline i64 sources_ready(const Sim *s, const i64 *src, i64 base)
     return base;
 }
 
-static int push(Sim *s, i64 block)
+/* rat.rename_dest plus the ready cycle of the new mapping. */
+static inline void rename_dest(Sim *s, i64 dest, i64 ready)
 {
-    Stack *st = &s->stack;
+    s->rr[dest] = ready;
+    if (dest == JREG)
+        return;
+    s->map[dest] = s->next_tag++;
+    s->mbits |= (uint32_t)1 << dest;
+}
+
+static void save(const Sim *s, Checkpoint *cp)
+{
+    memcpy(cp->rr, s->rr, sizeof cp->rr);
+    memcpy(cp->map, s->map, sizeof cp->map);
+    cp->mbits = s->mbits;
+}
+
+static void restore(Sim *s, const Checkpoint *cp)
+{
+    memcpy(s->rr, cp->rr, sizeof s->rr);
+    memcpy(s->map, cp->map, sizeof s->map);
+    s->mbits = cp->mbits;
+}
+
+static int push(Sim *s, Stack *st, i64 block)
+{
     if (st->n == st->cap) {
         i64 cap = st->cap ? 2 * st->cap : 64;
         i64 *v = realloc(st->v, (size_t)cap * sizeof(i64));
@@ -236,6 +328,111 @@ static int push(Sim *s, i64 block)
     }
     st->v[st->n++] = block;
     return 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* Memory system                                                       */
+/* ------------------------------------------------------------------ */
+
+static int cache_init(Cache *cache, i64 sets, i64 ways)
+{
+    cache->sets = sets;
+    cache->ways = ways;
+    cache->tag = malloc((size_t)(sets * ways) * sizeof(i64));
+    cache->fill = calloc((size_t)sets, 1);
+    return cache->tag && cache->fill;
+}
+
+static void cache_free(Cache *cache)
+{
+    free(cache->tag);
+    free(cache->fill);
+}
+
+/* Cache.access on a line number: True on a hit; a miss allocates the
+ * line, evicting the least recently used one of a full set.  The set
+ * count is a power of two, so the mask is Python's floor modulo. */
+static int cache_access(Cache *cache, i64 line)
+{
+    i64 set = line & (cache->sets - 1);
+    i64 *ways = cache->tag + set * cache->ways;
+    i64 n = cache->fill[set];
+    i64 k = 0;
+    while (k < n && ways[k] != line)
+        k++;
+    int hit = k < n;
+    if (!hit) {
+        if (n < cache->ways)
+            cache->fill[set] = (uint8_t)(n + 1);
+        else
+            k = n - 1;
+    }
+    memmove(ways + 1, ways, (size_t)k * sizeof(i64));
+    ways[0] = line;
+    return hit;
+}
+
+/* Word address -> cache line; the arithmetic shift is Python's floor
+ * division for the two's-complement view of a 64-bit address. */
+static inline i64 line_of(i64 address)
+{
+    return address >> 3;
+}
+
+/* CacheHierarchy.inst_access(pc // 8) minus the L1I latency: the
+ * fetch stall of a block starting at pc. */
+static inline i64 icache_extra(Sim *s, i64 pc)
+{
+    i64 line = line_of(line_of(pc));
+    if (cache_access(&s->l1i, line))
+        return 0;
+    if (cache_access(&s->l2, line))
+        return L2_LAT;
+    return L2_LAT + MEM_LAT;
+}
+
+/* CacheHierarchy.data_access */
+static inline i64 data_access(Sim *s, i64 address)
+{
+    i64 line = line_of(address);
+    if (cache_access(&s->l1d, line))
+        return L1_LAT;
+    if (cache_access(&s->l2, line))
+        return L1_LAT + L2_LAT;
+    return L1_LAT + L2_LAT + MEM_LAT;
+}
+
+static inline i64 sb_hash(i64 address)
+{
+    uint64_t h = (uint64_t)address * 0x9E3779B97F4A7C15ull;
+    return (i64)(h >> 56) & (SB_HASH - 1);
+}
+
+/* The youngest store to `address` still in the buffer (its ordinal), or
+ * -1.  It alone decides a load's StoreBuffer.lookup: every store is
+ * older than every later load, and no store resolves FALSE here. */
+static i64 sb_find(const Sim *s, i64 address)
+{
+    i64 oldest = s->nst - SB_CAP;
+    for (i64 o = s->sb_head[sb_hash(address)]; o >= 0 && o >= oldest;
+         o = s->sb_prev[o & (SB_CAP - 1)])
+        if (s->sb_addr[o & (SB_CAP - 1)] == address)
+            return o;
+    return -1;
+}
+
+/* StoreBuffer.insert: the oldest entry drains once SB_CAP are held. */
+static void sb_insert(Sim *s, i64 address, i64 ready, i64 pready, i64 pid)
+{
+    i64 o = s->nst++;
+    i64 slot = o & (SB_CAP - 1);
+    i64 h = sb_hash(address);
+    s->sb_addr[slot] = address;
+    s->sb_prev[slot] = s->sb_head[h];
+    s->sb_head[h] = o;
+    s->sb_ready[slot] = ready;
+    s->sb_pready[slot] = pready;
+    s->sb_pid[slot] = pid;
 }
 
 /* ------------------------------------------------------------------ */
@@ -273,6 +470,11 @@ static inline i64 jrs_index(const Sim *s, i64 block, i64 history)
     return (s->c->jpc[block] ^ (history & JHMASK)) & (JTAB - 1);
 }
 
+static inline int confident(const Sim *s, i64 block, i64 history)
+{
+    return s->jrs[jrs_index(s, block, history)] >= s->c->thresh;
+}
+
 static inline void jrs_update(Sim *s, i64 index, int correct)
 {
     if (!correct)
@@ -289,15 +491,15 @@ static inline void jrs_update(Sim *s, i64 index, int correct)
  * pid < 0 is the main path; an episode passes its predicate id and the
  * diverge branch's resolution cycle, which its stores publish and its
  * loads test.  A load forwarding from a store whose guarding predicate
- * is unresolved at issue waits for it, unless both share the predicate.
- * Main-path stores never publish, so their spready stays 0 and the
- * forward always applies. */
+ * is still unresolved when the load executes waits for it, unless both
+ * share the predicate.
+ * Main-path stores publish no predicate (ready 0), so forwarding from
+ * them always applies. */
 static void fetch_trace_rows(Sim *s, i64 r, i64 b, i64 n, i64 pid,
                              i64 resolution)
 {
     const Cell *c = s->c;
-    i64 l0 = c->rl0[r];
-    i64 s0 = c->rs0[r];
+    const i64 *addrs = c->maddr + c->rm0[r];
     for (i64 i = 0; i < n; i++) {
         i64 row = b * c->L + i;
         window_stall(s);
@@ -309,51 +511,56 @@ static void fetch_trace_rows(Sim *s, i64 r, i64 b, i64 n, i64 pid,
         i64 kind = c->rkind[row];
         i64 completion;
         if (kind == KIND_LOAD) {
-            i64 load = l0 + c->rlord[row];
-            i64 fwd = c->lfwd[load];
+            i64 address = addrs[c->rmord[row]];
+            i64 fwd = sb_find(s, address);
             if (fwd < 0) {
-                completion = base + c->llat[load];
-            } else if (base >= s->spready[fwd] || s->spid[fwd] == pid) {
-                i64 ready = s->sready[fwd];
-                completion = (ready > base ? ready : base) + 1;
+                completion = base + data_access(s, address);
             } else {
-                s->out[S_LOAD_WAITS] += 1;
-                completion = s->spready[fwd] + 2;
+                i64 slot = fwd & (SB_CAP - 1);
+                if (base >= s->sb_pready[slot] || s->sb_pid[slot] == pid) {
+                    i64 ready = s->sb_ready[slot];
+                    completion = (ready > base ? ready : base) + 1;
+                } else {
+                    s->out[S_LOAD_WAITS] += 1;
+                    completion = s->sb_pready[slot] + L1_LAT;
+                }
             }
         } else if (kind == KIND_STORE) {
-            i64 store = s0 + c->rstord[row];
             completion = base + 1;
-            s->sready[store] = completion;
-            if (pid >= 0) {
-                s->spready[store] = resolution;
-                s->spid[store] = pid;
-            }
+            sb_insert(s, addrs[c->rmord[row]], completion,
+                      pid >= 0 ? resolution : 0, pid);
         } else {
             completion = base + c->rlat[row];
         }
-        i64 dest = c->rdest[row];
-        s->rr[dest] = completion;
-        if (dest != JREG)
-            s->written |= (uint64_t)1 << dest;
+        rename_dest(s, c->rdest[row], completion);
         retire(s, completion);
     }
     s->out[S_FETCHED_CORRECT] += n;
     s->out[S_EXECUTED] += n;
 }
 
-/* _transfer_fast: the JMP/CALL/RET/NONE terminator of record r.  The
- * RAS push/pop and the call context are trace-static (arena). */
-static void transfer(Sim *s, i64 r, i64 b)
+/* _transfer_fast: the JMP/CALL/RET/NONE terminator of block b. */
+static void transfer(Sim *s, i64 b)
 {
     const Cell *c = s->c;
     i64 term = c->term[b];
     if (term == TERM_NONE)
         return;
     if (term == TERM_RET) {
+        if (s->calls.n)
+            s->calls.n -= 1;
+        int underflow = s->ras == 0;
+        if (!underflow)
+            s->ras -= 1;
         advance(s); /* returns end the fetch cycle */
-        if (c->runder[r])
+        if (underflow)
             advance_to(s, s->cycle + c->depth);
     } else {
+        if (term == TERM_CALL && c->fall[b] >= 0) {
+            if (s->ras < RAS_DEPTH)
+                s->ras += 1;
+            push(s, &s->calls, c->fall[b]);
+        }
         taken_redirect(s, c->site[b]);
     }
 }
@@ -379,19 +586,40 @@ static i64 fetch_branch(Sim *s, i64 b, i64 *fetch_cycle)
 }
 
 /* ------------------------------------------------------------------ */
-/* Wrong-path walk (mispredictions and dual-path forks)                */
+/* Static walks (wrong paths and predicate-FALSE paths)                */
 /* ------------------------------------------------------------------ */
+
+/* The block a static walk's jmp/call/ret at block b leads to, updating
+ * the walk's own call stack; *depth counts the architectural call
+ * context entries the walk has not yet returned through.  -1 ends the
+ * walk (it walked off the program, or memory ran out). */
+static i64 walk_transfer(Sim *s, i64 b, i64 *depth)
+{
+    const Cell *c = s->c;
+    i64 term = c->term[b];
+    if (term == TERM_JMP)
+        return c->target[b];
+    if (term == TERM_CALL) {
+        if (c->fall[b] >= 0 && !push(s, &s->stack, c->fall[b]))
+            return -1;
+        return c->callee[b];
+    }
+    if (s->stack.n)
+        return s->stack.v[--s->stack.n];
+    if (*depth > 0)
+        return s->calls.v[--*depth];
+    return -1;
+}
 
 /* _walk_wrong_path_fast from block `cur` until `until`, starting from
  * the fetch state in *s and the speculative history `ghr`.  Only the
  * fetch-cycle accounting and the CD/CI counters matter afterwards, so
  * the walk runs on copies and returns the cycle it stopped in.
  * Instructions are control-dependent until the walk reaches the
- * branch's reconvergence PC or one of the `nup` block PCs the correct
- * path visits next. */
+ * branch's reconvergence PC or the first PC of one of the `nup` blocks
+ * in `upcoming` (those the correct path visits next). */
 static i64 walk_wrong_path(Sim *s, i64 cur, i64 until, i64 reconv,
-                           const i64 *upcoming, i64 nup, i64 node,
-                           i64 ghr)
+                           const i64 *upcoming, i64 nup, i64 ghr)
 {
     const Cell *c = s->c;
     i64 cycle = s->cycle, slots = s->slots, bl = s->bl;
@@ -400,6 +628,7 @@ static i64 walk_wrong_path(Sim *s, i64 cur, i64 until, i64 reconv,
     i64 cd = 0, ci = 0;
     int reached = 0;
     i64 guard = 0;
+    i64 depth = s->calls.n;
     s->stack.n = 0;
     while (cur >= 0 && cycle < until) {
         if (++guard > WALK_GUARD)
@@ -409,7 +638,7 @@ static i64 walk_wrong_path(Sim *s, i64 cur, i64 until, i64 reconv,
             if (pc == reconv)
                 reached = 1;
             for (i64 k = 0; k < nup && !reached; k++)
-                if (upcoming[k] == pc)
+                if (c->fpc[upcoming[k]] == pc)
                     reached = 1;
         }
         i64 nr = c->nrows[cur];
@@ -454,20 +683,7 @@ static i64 walk_wrong_path(Sim *s, i64 cur, i64 until, i64 reconv,
             cycle += 1; /* jmp/call/ret redirect */
             slots = cycle <= du ? hw : w;
             bl = mb;
-            if (term == TERM_JMP) {
-                cur = c->target[cur];
-            } else if (term == TERM_CALL) {
-                if (c->fall[cur] >= 0 && !push(s, c->fall[cur]))
-                    break;
-                cur = c->callee[cur];
-            } else if (s->stack.n) {
-                cur = s->stack.v[--s->stack.n];
-            } else if (node >= 0) {
-                cur = c->noderet[node];
-                node = c->nodepar[node];
-            } else {
-                cur = -1; /* walked off the program */
-            }
+            cur = walk_transfer(s, cur, &depth);
         }
     }
     s->out[S_FETCHED_WRONG_CD] += cd;
@@ -498,10 +714,12 @@ static inline void cam_lock(Cam *cam, i64 pc)
         }
 }
 
-/* _handle_nested_trace_branch without diverge watching: predict,
- * fetch and retire the branch row, train, then flush and repair in
- * place (footnote 11) or take the redirect. */
-static void nested_branch(Sim *s, i64 r, i64 b)
+/* _handle_nested_trace_branch for record r (block b): predict, fetch
+ * and retire the branch row.  When `watch` is set and the branch is a
+ * low-confidence diverge branch, stop there (NEW_DIVERGE): *next
+ * receives the branch and 1 is returned, untrained.  Otherwise train,
+ * then flush and repair in place (footnote 11) or take the redirect. */
+static int nested_branch(Sim *s, i64 r, i64 b, int watch, Diverge *next)
 {
     const Cell *c = s->c;
     i64 history = s->ghr;
@@ -511,6 +729,16 @@ static void nested_branch(Sim *s, i64 r, i64 b)
     i64 fetch_cycle;
     i64 completion = fetch_branch(s, b, &fetch_cycle);
     int actual = c->rtaken[r] != 0;
+    if (watch && c->hinted[b] && !confident(s, b, history)) {
+        next->r = r;
+        next->b = b;
+        next->out = out;
+        next->resolution = completion;
+        next->history = history;
+        next->pred = pred;
+        next->actual = actual;
+        return 1;
+    }
     s->ghr = ((history << 1) | pred) & GHR_MASK;
     train(s, index, history, out, pred, actual);
     jrs_update(s, jrs_index(s, b, history), pred == actual);
@@ -522,13 +750,17 @@ static void nested_branch(Sim *s, i64 r, i64 b)
     } else if (pred) {
         taken_redirect(s, c->site[b]);
     }
+    return 0;
 }
 
-/* _fetch_dpred_trace_path_fast without diverge watching, from record
- * *pos under predicate pid.  *pos ends at the CFM record or where the
- * path stopped. */
-static int trace_path(Sim *s, i64 *pos, i64 resolution, i64 pid,
-                      Cam *cam)
+/* _fetch_dpred_trace_path_fast from record *pos under predicate pid,
+ * fetching at most `limit` instructions; branches are watched for a
+ * newer diverge branch once `restart_after` instructions are in, if
+ * `watch`.  *pos ends at the CFM record or where the path stopped (for
+ * NEW_DIVERGE, the new diverge branch's record, described in *next). */
+static int trace_path(Sim *s, i64 *pos, i64 resolution, i64 pid, Cam *cam,
+                      i64 limit, int watch, i64 restart_after,
+                      Diverge *next)
 {
     const Cell *c = s->c;
     i64 r = *pos;
@@ -539,7 +771,8 @@ static int trace_path(Sim *s, i64 *pos, i64 resolution, i64 pid,
             outcome = P_EXHAUSTED;
             break;
         }
-        i64 pc = c->rfpc[r];
+        i64 b = c->rblk[r];
+        i64 pc = c->fpc[b];
         if (cam_matches(cam, pc)) {
             cam_lock(cam, pc);
             outcome = P_CFM;
@@ -549,20 +782,24 @@ static int trace_path(Sim *s, i64 *pos, i64 resolution, i64 pid,
             outcome = P_RESOLVED;
             break;
         }
-        i64 b = c->rblk[r];
         i64 nr = c->nrows[b];
-        if (fetched + nr > c->path_limit) {
+        if (fetched + nr > limit) {
             outcome = P_LIMIT;
             break;
         }
-        if (c->rextra[r] > 0)
-            advance_to(s, s->cycle + c->rextra[r]);
+        i64 extra = icache_extra(s, pc);
+        if (extra > 0)
+            advance_to(s, s->cycle + extra);
         if (c->term[b] == TERM_BR) {
             fetch_trace_rows(s, r, b, c->nbody[b], pid, resolution);
-            nested_branch(s, r, b);
+            if (nested_branch(s, r, b, watch && fetched >= restart_after,
+                              next)) {
+                outcome = P_NEW_DIVERGE;
+                break;
+            }
         } else {
             fetch_trace_rows(s, r, b, nr, pid, resolution);
-            transfer(s, r, b);
+            transfer(s, b);
         }
         fetched += nr;
         r += 1;
@@ -597,25 +834,27 @@ static void static_block(Sim *s, i64 b)
                                  s->cycle + c->depth);
         i64 lat = c->rlat[row];
         if (c->rkind[row] == KIND_LOAD)
-            lat = 2; /* false-path loads charge an L1 hit */
+            lat = L1_LAT; /* false-path loads charge an L1 hit */
         else if (lat < 1)
             lat = 1;
-        s->rr[dest] = base + lat;
-        s->written |= (uint64_t)1 << dest;
+        rename_dest(s, dest, base + lat);
     }
     s->out[S_FETCHED_WRONG_CD] += nr;
     s->out[S_EXECUTED] += nr;
     s->out[S_PRED_FALSE] += nr;
 }
 
-/* _fetch_dpred_static_path_fast without diverge watching: walk the
- * static CFG from block `cur` behind the predictor, under predicate
- * FALSE; `node` is the architectural call context to return through. */
-static int static_path(Sim *s, i64 cur, i64 node, i64 resolution,
-                       Cam *cam)
+/* _fetch_dpred_static_path_fast: walk the static CFG from block `cur`
+ * behind the predictor, under predicate FALSE, returning through the
+ * architectural call context.  With `watch`, a low-confidence diverge
+ * branch met once `restart_after` instructions are in ends the path
+ * (NEW_DIVERGE). */
+static int static_path(Sim *s, i64 cur, i64 resolution, Cam *cam,
+                       i64 limit, int watch, i64 restart_after)
 {
     const Cell *c = s->c;
     i64 fetched = 0;
+    i64 depth = s->calls.n;
     s->stack.n = 0;
     for (;;) {
         if (cur < 0)
@@ -627,11 +866,14 @@ static int static_path(Sim *s, i64 cur, i64 node, i64 resolution,
         }
         if (s->cycle >= resolution)
             return P_RESOLVED;
-        if (fetched + c->nrows[cur] > c->path_limit)
+        if (fetched + c->nrows[cur] > limit)
             return P_LIMIT;
         static_block(s, cur);
-        fetched += c->nrows[cur];
         i64 term = c->term[cur];
+        if (watch && fetched >= restart_after && term == TERM_BR
+            && c->hinted[cur] && !confident(s, cur, s->ghr))
+            return P_NEW_DIVERGE;
+        fetched += c->nrows[cur];
         if (term == TERM_BR) {
             i64 history = s->ghr;
             int taken = predict(s, c->pct[cur], history) >= 0;
@@ -646,57 +888,97 @@ static int static_path(Sim *s, i64 cur, i64 node, i64 resolution,
             cur = c->fall[cur];
         } else {
             advance(s); /* jmp/call/ret redirect */
-            if (term == TERM_JMP) {
-                cur = c->target[cur];
-            } else if (term == TERM_CALL) {
-                if (c->fall[cur] >= 0 && !push(s, c->fall[cur]))
-                    return P_EXHAUSTED;
-                cur = c->callee[cur];
-            } else if (s->stack.n) {
-                cur = s->stack.v[--s->stack.n];
-            } else if (node >= 0) {
-                cur = c->noderet[node];
-                node = c->nodepar[node];
-            } else {
-                cur = -1; /* walked off the program */
-            }
+            cur = walk_transfer(s, cur, &depth);
         }
     }
 }
 
-/* One dynamic-predication episode on the diverge branch ending record
- * r (block b), after its fetch, retirement and training.  Returns the
- * record the main loop continues from. */
-static i64 dpred_episode(Sim *s, i64 r, i64 b, i64 resolution,
-                         i64 snapshot, int pred, int actual)
+/* _flush_diverge_branch: the diverge branch was mispredicted and
+ * predication did not save it. */
+static EpisodeEnd flush_diverge(Sim *s, const Diverge *x,
+                                const Checkpoint *cp1)
+{
+    EpisodeEnd end = {x->r + 1, 0, {0}};
+    s->out[S_MISPREDICTIONS] += 1;
+    s->out[S_PIPELINE_FLUSHES] += 1;
+    restore(s, cp1);
+    advance_to(s, x->resolution + 1);
+    s->ghr = ((x->history << 1) | x->actual) & GHR_MASK;
+    return end;
+}
+
+/* _dpred_once_impl: one episode on diverge branch *x, after its fetch
+ * and retirement; depth counts the nested episodes around it. */
+static EpisodeEnd dpred_once(Sim *s, const Diverge *x, i64 depth)
 {
     const Cell *c = s->c;
-    int mispredicted = pred != actual;
-    i64 cp1_ready[NREGS], cp2_ready[NREGS];
-    i64 cont, predicted_ghr, ppos = -1, apos = -1;
-    int exit_case;
+    i64 r = x->r, b = x->b, resolution = x->resolution;
+    int pred = x->pred;
+    int mispredicted = pred != x->actual;
+    Checkpoint cp1, cp2;
+    EpisodeEnd end = {0, 0, {0}};
+    Diverge next = {0};
+    i64 ppos = -1, apos = -1, predicted_ghr;
+    int exit_case, pout, aout;
     Cam cam = {c->cfmpcs + c->cfmoff[b], c->cfmoff[b + 1] - c->cfmoff[b],
                -1};
     i64 p1 = s->next_predicate;
     i64 p2 = p1 + 1;
-    s->next_predicate += 2;
+    /* Python's max(expected // 2, 4); >> 1 floors like // does. */
+    i64 restart_after = c->expect[b] >> 1;
+    if (restart_after < 4)
+        restart_after = 4;
 
     s->out[S_DPRED_ENTRIES] += 1;
+    /* _train_diverge_branch: the selective policy trains only the
+     * confidence estimator. */
+    if (!c->selective)
+        train(s, c->pct[b], x->history, x->out, pred, x->actual);
+    jrs_update(s, jrs_index(s, b, x->history), !mispredicted);
+    s->next_predicate += 2;
     s->out[S_EXTRA_UOPS] += 1; /* enter.pred.path */
-    memcpy(cp1_ready, s->rr, sizeof cp1_ready);
-    s->written = 0;
+    save(s, &cp1);
+    s->mbits = 0;
 
     /* Predicted path. */
-    s->ghr = ((snapshot << 1) | pred) & GHR_MASK;
+    s->ghr = ((x->history << 1) | pred) & GHR_MASK;
     if (pred)
         taken_redirect(s, c->site[b]);
-    int pout;
     if (mispredicted) {
         i64 start = pred ? c->taken[b] : c->fall[b];
-        pout = static_path(s, start, c->rnode[r], resolution, &cam);
+        pout = static_path(s, start, resolution, &cam, c->path_limit,
+                           (int)c->multiple_diverge, restart_after);
     } else {
         ppos = r + 1;
-        pout = trace_path(s, &ppos, resolution, p1, &cam);
+        for (;;) {
+            pout = trace_path(s, &ppos, resolution, p1, &cam, c->path_limit,
+                              (int)c->multiple_diverge, restart_after,
+                              &next);
+            if (pout == P_NEW_DIVERGE && c->nested
+                && depth < c->max_nested) {
+                /* Section 2.7.4's nested policy: predicate the newer
+                 * diverge branch too, then resume this predicted path
+                 * where the inner episode left off. */
+                s->out[S_NESTED_EPISODES] += 1;
+                EpisodeEnd inner = dpred_once(s, &next, depth + 1);
+                if (inner.restart)
+                    return inner;
+                ppos = inner.cont;
+                continue;
+            }
+            break;
+        }
+    }
+
+    if (pout == P_NEW_DIVERGE) {
+        /* _handle_new_diverge */
+        if (mispredicted) {
+            s->out[S_EXIT_CASE0 + 6] += 1; /* FLUSH */
+            return flush_diverge(s, x, &cp1);
+        }
+        end.restart = 1;
+        end.next = next;
+        return end;
     }
 
     if (pout != P_CFM) {
@@ -704,86 +986,114 @@ static i64 dpred_episode(Sim *s, i64 r, i64 b, i64 resolution,
         if (pout != P_RESOLVED && s->cycle < resolution)
             advance_to(s, resolution);
         if (mispredicted) {
-            exit_case = 6; /* FLUSH */
-            s->out[S_MISPREDICTIONS] += 1;
-            s->out[S_PIPELINE_FLUSHES] += 1;
-            memcpy(s->rr, cp1_ready, sizeof cp1_ready);
-            advance_to(s, resolution + 1);
-            s->ghr = ((snapshot << 1) | actual) & GHR_MASK;
-            cont = r + 1;
-        } else {
-            exit_case = 5; /* CONTINUE_PREDICTED */
-            cont = ppos;
+            s->out[S_EXIT_CASE0 + 6] += 1; /* FLUSH */
+            return flush_diverge(s, x, &cp1);
         }
+        s->out[S_EXIT_CASE0 + 5] += 1; /* CONTINUE_PREDICTED */
+        end.cont = ppos;
+        return end;
+    }
+
+    /* Alternate path from the pre-branch registers. */
+    predicted_ghr = s->ghr;
+    save(s, &cp2);
+    restore(s, &cp1);
+    s->out[S_EXTRA_UOPS] += 1; /* enter.alternate.path */
+    s->ghr = ((x->history << 1) | !pred) & GHR_MASK;
+    i64 alt_limit = c->early_exit ? c->expect[b] : c->path_limit;
+    if (mispredicted) {
+        apos = r + 1;
+        aout = trace_path(s, &apos, resolution, p2, &cam, alt_limit, 0, 0,
+                          &next);
     } else {
-        /* Alternate path from the pre-branch registers. */
-        predicted_ghr = s->ghr;
-        memcpy(cp2_ready, s->rr, sizeof cp2_ready);
-        memcpy(s->rr, cp1_ready, sizeof cp1_ready);
-        s->out[S_EXTRA_UOPS] += 1; /* enter.alternate.path */
-        s->ghr = ((snapshot << 1) | !pred) & GHR_MASK;
-        int aout;
-        if (mispredicted) {
-            apos = r + 1;
-            aout = trace_path(s, &apos, resolution, p2, &cam);
-        } else {
-            i64 start = pred ? c->fall[b] : c->taken[b];
-            aout = static_path(s, start, c->rnode[ppos], resolution, &cam);
+        i64 start = pred ? c->fall[b] : c->taken[b];
+        aout = static_path(s, start, resolution, &cam, alt_limit, 0, 0);
+    }
+
+    /* _exit_after_alternate */
+    if (aout == P_CFM) {
+        /* Cases 1 and 2: merge with one select-uop per register whose
+         * M bit is set on either path and whose mappings differ, in
+         * register order (rat.compute_selects / apply_selects). */
+        s->out[S_EXTRA_UOPS] += 1; /* exit.pred */
+        i64 earliest = s->cycle + c->depth; /* _dispatch_uop */
+        uint32_t modified = s->mbits | cp2.mbits;
+        for (int a = 0; a < NARCH; a++) {
+            if (!((modified >> a) & 1) || cp2.map[a] == s->map[a])
+                continue;
+            i64 ready = cp2.rr[a];
+            if (s->rr[a] > ready)
+                ready = s->rr[a];
+            if (resolution > ready)
+                ready = resolution;
+            s->rr[a] = (earliest > ready ? earliest : ready) + 1;
+            s->map[a] = s->next_tag++;
+            s->out[S_SELECT_UOPS] += 1;
         }
-        if (aout == P_CFM) {
-            /* Cases 1 and 2: merge with one select-uop per register
-             * renamed on either path, in register order. */
-            s->out[S_EXTRA_UOPS] += 1; /* exit.pred */
-            i64 issue = s->cycle + c->depth;
-            for (int a = 0; a < 32; a++) {
-                if (!((s->written >> a) & 1))
-                    continue;
-                i64 ready = cp2_ready[a];
-                if (s->rr[a] > ready)
-                    ready = s->rr[a];
-                if (resolution > ready)
-                    ready = resolution;
-                s->rr[a] = (issue > ready ? issue : ready) + 1;
-                s->out[S_SELECT_UOPS] += 1;
-            }
-            if (c->keep_predicted_ghr)
-                s->ghr = predicted_ghr;
-            if (mispredicted) {
-                exit_case = 2; /* NORMAL_MISPREDICTED */
-                s->out[S_MISPREDICTIONS] += 1; /* eliminated: no flush */
-                cont = apos;
-            } else {
-                exit_case = 1; /* NORMAL_CORRECT */
-                cont = ppos;
-            }
+        s->mbits = 0;
+        if (c->keep_predicted_ghr)
+            s->ghr = predicted_ghr;
+        if (mispredicted) {
+            exit_case = 2; /* NORMAL_MISPREDICTED */
+            s->out[S_MISPREDICTIONS] += 1; /* eliminated: no flush */
+            end.cont = apos;
         } else {
-            /* Cases 3 and 4: wait for the diverge branch. */
-            if (s->cycle < resolution)
-                advance_to(s, resolution);
-            if (mispredicted) {
-                exit_case = 4; /* CONTINUE_ALTERNATE */
-                s->out[S_MISPREDICTIONS] += 1; /* eliminated: no flush */
-                cont = apos;
-            } else {
-                exit_case = 3; /* REDIRECT_TO_CFM */
-                memcpy(s->rr, cp2_ready, sizeof cp2_ready);
-                s->ghr = predicted_ghr;
-                advance(s);
-                cont = ppos;
-            }
+            exit_case = 1; /* NORMAL_CORRECT */
+            end.cont = ppos;
+        }
+    } else if (aout == P_LIMIT && c->early_exit) {
+        /* Early exit (Section 2.7.2): give up on the alternate path and
+         * redirect to the CFM point. */
+        s->out[S_EARLY_EXITS] += 1;
+        restore(s, &cp2);
+        s->ghr = predicted_ghr;
+        advance(s);
+        if (mispredicted) {
+            s->out[S_EXIT_CASE0 + 6] += 1; /* FLUSH */
+            return flush_diverge(s, x, &cp1);
+        }
+        exit_case = 3; /* REDIRECT_TO_CFM */
+        end.cont = ppos;
+    } else {
+        /* Cases 3 and 4: wait for the diverge branch. */
+        if (s->cycle < resolution)
+            advance_to(s, resolution);
+        if (mispredicted) {
+            exit_case = 4; /* CONTINUE_ALTERNATE */
+            s->out[S_MISPREDICTIONS] += 1; /* eliminated: no flush */
+            end.cont = apos;
+        } else {
+            exit_case = 3; /* REDIRECT_TO_CFM */
+            restore(s, &cp2);
+            s->ghr = predicted_ghr;
+            advance(s);
+            end.cont = ppos;
         }
     }
     s->out[S_EXIT_CASE0 + exit_case] += 1;
-    return cont;
+    return end;
+}
+
+/* _run_dpred_episode: episodes from diverge branch *x until one ends
+ * without a restart; returns the record the main loop continues from. */
+static i64 dpred_episode(Sim *s, Diverge x)
+{
+    for (;;) {
+        EpisodeEnd end = dpred_once(s, &x, 0);
+        if (!end.restart)
+            return end.cont;
+        s->out[S_DPRED_RESTARTS] += 1;
+        x = end.next;
+    }
 }
 
 /* ------------------------------------------------------------------ */
 /* Conditional branches on the main path                               */
 /* ------------------------------------------------------------------ */
 
-/* _handle_trace_branch_fast for record r (block b): predict, fetch,
- * train, then enter an episode, fork, flush or redirect.  Returns the
- * next record. */
+/* _handle_trace_branch_fast for record r (block b): predict and fetch,
+ * then enter an episode, or train and fork, flush or redirect.  Returns
+ * the next record. */
 static i64 trace_branch(Sim *s, i64 r, i64 b)
 {
     const Cell *c = s->c;
@@ -795,17 +1105,18 @@ static i64 trace_branch(Sim *s, i64 r, i64 b)
     i64 resolution = fetch_branch(s, b, &fetch_cycle);
     int actual = c->rtaken[r] != 0;
     int mispredicted = pred != actual;
-    i64 jidx = jrs_index(s, b, snapshot);
-    int confident = s->jrs[jidx] >= c->thresh;
+    int conf = confident(s, b, snapshot);
+
+    if (c->predicating && c->hinted[b] == 1 && !conf) {
+        Diverge x = {r, b, out, resolution, snapshot, pred, actual};
+        return dpred_episode(s, x);
+    }
+
     train(s, index, snapshot, out, pred, actual);
-    jrs_update(s, jidx, !mispredicted);
-
-    if (c->predicating && c->hinted[b] && !confident)
-        return dpred_episode(s, r, b, resolution, snapshot, pred, actual);
-
+    jrs_update(s, jrs_index(s, b, snapshot), !mispredicted);
     i64 ghr_pred = ((snapshot << 1) | pred) & GHR_MASK;
     i64 ghr_actual = ((snapshot << 1) | actual) & GHR_MASK;
-    if (c->dualpath && !confident && fetch_cycle > s->dual_until
+    if (c->dualpath && !conf && fetch_cycle > s->dual_until
         && (out >= 0 ? out : -out) <= THETA / 4) {
         /* _fork_dual_path: the not-taken-by-the-trace path is fetched
          * at half bandwidth; the walk is cycle-neutral. */
@@ -814,7 +1125,7 @@ static i64 trace_branch(Sim *s, i64 r, i64 b)
         i64 start = actual ? c->fall[b] : c->taken[b];
         if (start >= 0)
             walk_wrong_path(s, start, resolution, c->reconv[b], NULL, 0,
-                            c->rnode[r], ghr_pred);
+                            ghr_pred);
         if (mispredicted) {
             s->out[S_MISPREDICTIONS] += 1;
             s->ghr = ghr_actual;
@@ -833,8 +1144,8 @@ static i64 trace_branch(Sim *s, i64 r, i64 b)
             if (stop > c->nrec)
                 stop = c->nrec;
             s->cycle = walk_wrong_path(s, start, resolution, c->reconv[b],
-                                       c->rfpc + r + 1, stop - (r + 1),
-                                       c->rnode[r], ghr_pred);
+                                       c->rblk + r + 1, stop - (r + 1),
+                                       ghr_pred);
         }
         advance_to(s, resolution + 1);
         s->ghr = ghr_actual;
@@ -867,29 +1178,33 @@ int repro_run_cell(const Cell *c, i64 *out)
     s.slots = c->width;
     s.bl = c->maxb;
     s.dual_until = -1;
+    s.next_tag = NARCH; /* tags 0..31 are the initial mappings */
+    for (int a = 0; a < NARCH; a++)
+        s.map[a] = a;
+    memset(s.sb_head, 0xff, sizeof s.sb_head); /* every chain empty (-1) */
     s.ring = calloc((size_t)c->rob, sizeof(i64));
-    s.sready = calloc((size_t)c->nstores + 1, sizeof(i64));
-    s.spready = calloc((size_t)c->nstores + 1, sizeof(i64));
-    s.spid = malloc(((size_t)c->nstores + 1) * sizeof(i64));
     s.weights = calloc((size_t)NPERC * (HBITS + 1), sizeof(int16_t));
     s.jrs = calloc(JTAB, 1);
     s.btb_seen = calloc((size_t)c->nsites + 1, 1);
+    int ok = cache_init(&s.l1i, L1I_SETS, L1I_WAYS);
+    ok &= cache_init(&s.l1d, L1D_SETS, L1D_WAYS);
+    ok &= cache_init(&s.l2, L2_SETS, L2_WAYS);
     int status = -1;
-    if (s.ring && s.sready && s.spready && s.spid && s.weights && s.jrs
-        && s.btb_seen) {
-        for (i64 k = 0; k <= c->nstores; k++)
-            s.spid[k] = -1;
+    if (ok && s.ring && s.weights && s.jrs && s.btb_seen) {
+        for (i64 k = 0; k < c->nwarm; k++)
+            cache_access(&s.l2, line_of(c->warm[k]));
         i64 r = 0;
         while (r < c->nrec && !s.oom) {
             i64 b = c->rblk[r];
-            if (c->rextra[r] > 0) /* icache miss */
-                advance_to(&s, s.cycle + c->rextra[r]);
+            i64 extra = icache_extra(&s, c->fpc[b]);
+            if (extra > 0) /* icache miss */
+                advance_to(&s, s.cycle + extra);
             if (c->term[b] == TERM_BR) {
                 fetch_trace_rows(&s, r, b, c->nbody[b], -1, 0);
                 r = trace_branch(&s, r, b);
             } else {
                 fetch_trace_rows(&s, r, b, c->nrows[b], -1, 0);
-                transfer(&s, r, b);
+                transfer(&s, b);
                 r += 1;
             }
         }
@@ -900,12 +1215,13 @@ int repro_run_cell(const Cell *c, i64 *out)
         }
     }
     free(s.ring);
-    free(s.sready);
-    free(s.spready);
-    free(s.spid);
     free(s.weights);
     free(s.jrs);
     free(s.btb_seen);
+    cache_free(&s.l1i);
+    cache_free(&s.l1d);
+    cache_free(&s.l2);
+    free(s.calls.v);
     free(s.stack.v);
     return status;
 }

@@ -2,7 +2,7 @@
 
 The kernel is compiled on first use with the system C compiler (``cc``)
 into a shared library and loaded through :mod:`ctypes`; nothing beyond
-the standard library and numpy is needed.  The library is cached under
+the standard library is needed.  The library is cached under
 ``$XDG_CACHE_HOME/repro/native`` (``~/.cache/repro/native`` by default),
 named by the SHA-256 of the C source plus the compile command, so an
 edited kernel or another compiler invocation rebuilds while an unchanged
@@ -27,13 +27,13 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
+from array import array
 
 #: The C source, shipped as package data.
 KERNEL_SOURCE = Path(__file__).with_name("kernel.c")
 
 #: Must equal ``REPRO_KERNEL_ABI`` in kernel.c.
-ABI = 1
+ABI = 2
 
 #: Compiler flags; the command (with these) is part of the cache key.
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -60,6 +60,9 @@ STATS_FIELDS = (
     "select_uops",
     "predicated_false_instructions",
     "load_wait_on_predicate",
+    "early_exits",
+    "dpred_restarts",
+    "nested_episodes",
 )
 _NOUT = len(STATS_FIELDS) + 7
 
@@ -68,39 +71,49 @@ _NOUT = len(STATS_FIELDS) + 7
 _SCALARS = (
     "dualpath", "predicating", "width", "maxb", "depth", "rob", "rw",
     "stops", "thresh", "path_limit", "keep_predicted_ghr",
-    "L", "K", "nsites", "nrec", "nstores",
+    "early_exit", "multiple_diverge", "nested", "max_nested", "selective",
+    "L", "K", "nsites", "nrec", "nwarm",
 )
+#: Program tables with their row counts: per block, per block row
+#: (``L`` rows per block) or per row source (``K`` per row).
 _PROGRAM_TABLES = (
-    "NROWS", "NBODY", "FPC", "TERM", "TAKEN", "FALL", "TARGET", "CALLEE",
-    "SITE", "PCT", "JPC", "RECONV", "BRLAT", "BRSRC",
-    "RKIND", "RLAT", "RDEST", "RSRC", "RLORD", "RSTORD",
+    ("NROWS", "n"), ("NBODY", "n"), ("FPC", "n"), ("TERM", "n"),
+    ("TAKEN", "n"), ("FALL", "n"), ("TARGET", "n"), ("CALLEE", "n"),
+    ("SITE", "n"), ("PCT", "n"), ("JPC", "n"), ("RECONV", "n"),
+    ("BRLAT", "n"), ("BRSRC", "nK"), ("RKIND", "nL"), ("RLAT", "nL"),
+    ("RDEST", "nL"), ("RSRC", "nLK"), ("RMORD", "nL"),
 )
-_RECORD_TABLES = (
-    "RBLK", "REXTRA", "RTAKEN", "RL0", "RS0", "RUNDER", "RNODE", "RFPC",
-)
-_TRACE_TABLES = ("LLAT", "LFWD", "NODEPAR", "NODERET")
-_HINT_TABLES = ("hinted", "cfmoff", "cfmpcs")
+_RECORD_TABLES = ("RBLK", "RTAKEN", "RM0")
+_HINT_TABLES = ("hinted", "cfmoff", "cfmpcs", "expect")
 
 
 class _Cell(ctypes.Structure):
     _fields_ = [(name, ctypes.c_int64) for name in _SCALARS] + [
         (name, ctypes.c_void_p)
         for name in (
-            _PROGRAM_TABLES + _RECORD_TABLES + _TRACE_TABLES + _HINT_TABLES
+            tuple(name for name, _ in _PROGRAM_TABLES) + _RECORD_TABLES
+            + ("MADDR", "WARM") + _HINT_TABLES
         )
     ]
 
 
-def _pointer(table: np.ndarray, rows: int) -> int:
-    """The address of an arena table, after checking the layout the
-    kernel indexes it by: C-contiguous int64 with ``rows`` rows (any
-    number when ``rows`` is ``None``)."""
+def _pointer(table: array, rows: Optional[int]) -> int:
+    """The address of an arena table (``array.buffer_info``), after
+    checking the layout the kernel indexes it by: 64-bit integers
+    (typecode ``q``, or ``Q`` for memory addresses) with ``rows``
+    entries (any number when ``rows`` is ``None``)."""
     if (
-        table.dtype != np.int64 or not table.flags.c_contiguous
+        not isinstance(table, array) or table.typecode not in "qQ"
+        or table.itemsize != 8
         or (rows is not None and len(table) != rows)
     ):
         raise ValueError("native kernel: malformed arena table")
-    return table.ctypes.data
+    # An empty table still gets a valid address (the kernel never reads
+    # it, but pointer arithmetic on NULL is undefined behaviour).
+    return (table if len(table) else _EMPTY).buffer_info()[0]
+
+
+_EMPTY = array("q", [0])
 
 
 class Kernel:
@@ -118,29 +131,33 @@ class Kernel:
         lib.repro_run_cell.restype = ctypes.c_int
         self._run = lib.repro_run_cell
 
-    def run_cell(self, parena, tarena, hints, scalars) -> np.ndarray:
+    def run_cell(self, parena, tarena, warm, hints, scalars) -> list:
         """Simulate one cell; returns the kernel's counter vector.
 
-        ``hints`` is the ``(hinted, cfmoff, cfmpcs)`` triple of int64
-        arrays and ``scalars`` maps the configuration names of
-        ``_SCALARS`` to ints.  The arrays must stay alive for the call,
-        which the caller's arenas guarantee."""
+        ``warm`` holds the words pre-loaded into the L2, ``hints`` is
+        the ``(hinted, cfmoff, cfmpcs, expect)`` tuple of tables and
+        ``scalars`` maps the configuration names of ``_SCALARS`` to
+        ints.  The tables must stay alive for the call, which the
+        caller's arenas guarantee."""
         cell = _Cell(**scalars)
         cell.L, cell.K, cell.nsites = parena.L, parena.K, parena.nsites
-        cell.nrec, cell.nstores = tarena.nrec, tarena.nstores
-        n = parena.n
-        for name in _PROGRAM_TABLES:
-            setattr(cell, name, _pointer(getattr(parena, name), n))
+        cell.nrec, cell.nwarm = tarena.nrec, len(warm)
+        n, L, K = parena.n, parena.L, parena.K
+        rows = {"n": n, "nK": n * K, "nL": n * L, "nLK": n * L * K}
+        for name, shape in _PROGRAM_TABLES:
+            setattr(cell, name, _pointer(getattr(parena, name), rows[shape]))
         for name in _RECORD_TABLES:
             setattr(cell, name, _pointer(getattr(tarena, name), tarena.nrec))
-        for name in _TRACE_TABLES:
-            setattr(cell, name, _pointer(getattr(tarena, name), None))
-        for name, table, rows in zip(_HINT_TABLES, hints, (n, n + 1, None)):
-            setattr(cell, name, _pointer(table, rows))
-        out = np.zeros(_NOUT, np.int64)
-        if self._run(ctypes.byref(cell), out.ctypes.data) != 0:
+        cell.MADDR = _pointer(tarena.MADDR, None)
+        cell.WARM = _pointer(warm, None)
+        for name, table, count in zip(
+            _HINT_TABLES, hints, (n, n + 1, None, n)
+        ):
+            setattr(cell, name, _pointer(table, count))
+        out = (ctypes.c_int64 * _NOUT)()
+        if self._run(ctypes.byref(cell), out) != 0:
             raise MemoryError("native kernel: out of memory")
-        return out
+        return list(out)
 
 
 def cache_dir() -> Path:
@@ -173,15 +190,20 @@ def _writable_dir() -> Path:
     return _private_dir
 
 
-def build(source: Path = KERNEL_SOURCE) -> Path:
+def build(source: Path = KERNEL_SOURCE, cflags=CFLAGS) -> Path:
     """The compiled library for ``source``, compiling it only when the
-    cache holds no library for this source and compile command."""
+    cache holds no library for this source and compile command.
+
+    ``cflags`` replaces :data:`CFLAGS` (a test hook: the sanitizer job
+    builds with ``-fsanitize=address,undefined``); it must still produce
+    a shared library."""
     compiler = shutil.which("cc")
     if compiler is None:
         raise OSError("no C compiler (cc) on PATH")
+    cflags = tuple(cflags)
     text = source.read_bytes()
     key = hashlib.sha256(text)
-    key.update(" ".join(("cc",) + CFLAGS).encode())
+    key.update(" ".join(("cc",) + cflags).encode())
     name = f"kernel-{key.hexdigest()}.so"
     cached = cache_dir() / name
     if cached.is_file():
@@ -193,7 +215,7 @@ def build(source: Path = KERNEL_SOURCE) -> Path:
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
     os.close(fd)
     try:
-        _compile([compiler, *CFLAGS, "-o", tmp, str(source)])
+        _compile([compiler, *cflags, "-o", tmp, str(source)])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -95,15 +95,19 @@ class MachineConfig:
     #: the default.  Both are equally implementable (both GHRs are
     #: checkpointed during dynamic predication).
     dpred_ghr_policy: str = "predicted"
-    #: Simulation engine: ``"fast"`` (default) runs the pre-decoded
-    #: block-plan inner loops (:mod:`repro.uarch.plan`);
-    #: ``"reference"`` keeps the original per-instruction loops;
-    #: ``"batch"`` routes the run through the batch engine
-    #: (:mod:`repro.uarch.batch`), which simulates each cell on a native
-    #: C kernel built on first use and falls back to the fast engine for
-    #: configurations outside the kernel's envelope (or when no C
-    #: compiler is available).  All engines
-    #: produce bit-identical :class:`~repro.uarch.stats.SimStats`
+    #: Simulation engine for a single :func:`~repro.core.processors.simulate`
+    #: call: ``"fast"`` (default) runs the pre-decoded block-plan inner
+    #: loops (:mod:`repro.uarch.plan`); ``"reference"`` keeps the
+    #: original per-instruction loops; ``"batch"`` routes the run
+    #: through the batch engine (:mod:`repro.uarch.batch`), which
+    #: simulates the cell on a native C kernel built on first use and
+    #: falls back to the fast engine for configurations outside the
+    #: kernel's envelope (or when no C compiler is available).
+    #: :func:`~repro.harness.experiment.run_suite` runs ``"fast"`` and
+    #: ``"batch"`` cells alike on the batch engine at ``jobs=1``; only
+    #: ``"reference"`` cells (and traced ones) stay on a Python engine
+    #: there.  All engines produce bit-identical
+    #: :class:`~repro.uarch.stats.SimStats`
     #: (asserted by tests/core/test_engine_differential.py and
     #: tests/core/test_engine_batch.py), and the choice deliberately
     #: does not appear in :meth:`describe` so the stats of the engines

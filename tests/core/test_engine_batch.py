@@ -15,14 +15,22 @@ import dataclasses
 import pytest
 
 from repro.cfg.builder import CFGBuilder
+from repro.cli import CONFIG_FACTORIES
 from repro.core.processors import simulate
-from repro.harness.experiment import BenchmarkContext, run_suite
+from repro.fuzz import FuzzKnobs, draw_spec
+from repro.fuzz.harness import FuzzProgram
+from repro.harness.experiment import (
+    BenchmarkContext,
+    figure9_configs,
+    run_suite,
+)
 from repro.isa.instructions import Condition
 from repro.program.interpreter import Interpreter
 from repro.program.memory import Memory
 from repro.program.program import Program
-from repro.uarch.batch import BatchCell, cell_supported, run_batch
+from repro.uarch.batch import BatchCell, cell_supported, native, run_batch
 from repro.uarch.config import MachineConfig
+from repro.validation.runtime import paranoid
 from repro.workloads.suite import BENCHMARK_NAMES
 
 ITERATIONS = 120
@@ -169,6 +177,62 @@ def test_fallback_path_bit_identical(bench_name, config_name):
     assert dataclasses.asdict(got) == dataclasses.asdict(ref)
 
 
+def _enhanced_grid():
+    """Every Figure 9 machine plus the enhancement variants outside
+    that figure: the nested multiple-diverge policy and the selective
+    predictor update."""
+    grid = dict(figure9_configs())
+    grid["nested"] = MachineConfig.dmp(
+        enhanced=True, multiple_diverge_policy="nested"
+    )
+    grid["selective"] = MachineConfig.dmp(
+        enhanced=True, selective_predictor_update=True
+    )
+    grid["dhp-enhanced"] = MachineConfig.dhp(
+        multiple_cfm=True, early_exit=True, multiple_diverge=True
+    )
+    return grid
+
+
+def test_figure9_enhancements_bit_identical_on_the_kernel():
+    """Early exit, multiple diverge branches (restart and nested) and
+    the selective predictor update run on the native kernel — no
+    fallback — and reproduce the reference engine bit for bit.  twolf
+    exits early often; fuzz program 3778 restarts and nests episodes."""
+    grid = _enhanced_grid()
+    fuzz = FuzzProgram(draw_spec(3778, FuzzKnobs(max_gadgets=3,
+                                                 iterations=60)))
+    cells, refs = [], []
+    for name in ("parser", "twolf", "fma3d"):
+        ctx = _context(name)
+        for config in grid.values():
+            cells.append(_cell(ctx, config))
+            refs.append(_reference(ctx, config))
+    for config in grid.values():
+        kwargs = dict(
+            hints=fuzz.hints_for(config.mode), benchmark=fuzz.spec.name,
+            warm_words=fuzz.workload.memory.warm_words(),
+        )
+        cells.append(BatchCell(
+            fuzz.program, fuzz.trace, config.replace(engine="batch"),
+            **kwargs,
+        ))
+        refs.append(simulate(
+            fuzz.program, fuzz.trace, config.replace(engine="reference"),
+            **kwargs,
+        ))
+    reasons = {}
+    results = run_batch(cells, fallback_reasons=reasons)
+    assert reasons == {}, "expected every cell on the native kernel"
+    for cell, ref, got in zip(cells, refs, results):
+        assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
+            cell.benchmark, cell.config.describe(),
+        )
+    assert sum(ref.early_exits for ref in refs) > 0
+    assert sum(ref.dpred_restarts for ref in refs) > 0
+    assert sum(ref.nested_episodes for ref in refs) > 0
+
+
 def test_cell_supported_reports_reasons():
     ctx = _context("parser")
     ok, reason = cell_supported(_cell(ctx, MachineConfig.baseline()))
@@ -182,34 +246,35 @@ def test_cell_supported_reports_reasons():
     ok, reason = cell_supported(traced)
     assert not ok and "tracer" in reason
 
-    # Plain dynamic predication is inside the envelope; each scalar-only
-    # enhancement is refused with its own reason string.
-    ok, reason = cell_supported(_cell(ctx, MachineConfig.dmp()))
-    assert ok, reason
+    # Dynamic predication with every Figure 9 enhancement, either
+    # multiple-diverge policy and the selective update is inside the
+    # envelope.
+    for config in _enhanced_grid().values():
+        ok, reason = cell_supported(_cell(ctx, config))
+        assert ok, (config.describe(), reason)
     ok, reason = cell_supported(_cell(ctx, MachineConfig.dhp()))
     assert ok, reason
-    ok, reason = cell_supported(
-        _cell(ctx, MachineConfig.dmp(enhanced=True))
+    # Outside it, each with its own reason string.
+    deep = MachineConfig.dmp(
+        enhanced=True, multiple_diverge_policy="nested",
+        max_nested_diverge=1000,
     )
-    assert not ok and "early exit" in reason
-    ok, reason = cell_supported(
-        _cell(ctx, MachineConfig.dmp(multiple_diverge=True))
-    )
-    assert not ok and "diverge" in reason
+    ok, reason = cell_supported(_cell(ctx, deep))
+    assert not ok and "max_nested_diverge" in reason
     ok, reason = cell_supported(
         _cell(ctx, MachineConfig.dmp(loop_predication=True))
     )
     assert not ok and "loop" in reason
-    ok, reason = cell_supported(
-        _cell(ctx, MachineConfig.dmp(selective_predictor_update=True))
-    )
-    assert not ok and "selective" in reason
     ok, reason = cell_supported(_cell(ctx, MachineConfig.wish()))
     assert not ok and "wish" in reason
     # Learned merge points mutate between lookups; the kernel reads a
     # static hint table, so mpp is scalar-only.
     ok, reason = cell_supported(_cell(ctx, MachineConfig.mpp()))
     assert not ok and "mpp" in reason
+    ok, reason = cell_supported(
+        _cell(ctx, MachineConfig.baseline(predictor_kind="perfect"))
+    )
+    assert not ok and "predictor" in reason
 
     ok, reason = cell_supported(
         _cell(ctx, MachineConfig.baseline().hardened())
@@ -217,42 +282,128 @@ def test_cell_supported_reports_reasons():
     assert not ok
 
 
-def test_run_suite_batch_executor_matches_serial():
-    """The ``"batch"`` suite executor returns the same table as the
-    serial fast-engine executor (memo/disk caches bypassed by fresh
-    contexts)."""
+def _fresh(benchmarks, iterations=ITERATIONS):
+    return {
+        name: BenchmarkContext(name, iterations=iterations, seed=0)
+        for name in benchmarks
+    }
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The cells the native kernel runs in this test (one list entry
+    per ``Kernel.run_cell`` call)."""
+    calls = []
+    real = native.Kernel.run_cell
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(native.Kernel, "run_cell", spy)
+    return calls
+
+
+def test_run_suite_serial_executor_matches_reference(kernel_calls):
+    """The in-process executor runs every cell of a benchmark in one
+    ``run_batch`` call on the kernel and returns the reference engine's
+    table (memo/disk caches bypassed by fresh contexts)."""
     configs = {
         "base": MachineConfig.baseline(),
         "dual": MachineConfig.dualpath(),
+        "dmp-enhanced": MachineConfig.dmp(enhanced=True),
     }
     benchmarks = ("parser", "gzip")
-
-    def fresh():
-        return {
-            name: BenchmarkContext(name, iterations=ITERATIONS, seed=0)
-            for name in benchmarks
-        }
-
     serial = run_suite(
         configs, benchmarks, iterations=ITERATIONS,
-        contexts=fresh(), executor="serial",
+        contexts=_fresh(benchmarks), executor="serial",
     )
-    batch = run_suite(
-        configs, benchmarks, iterations=ITERATIONS,
-        contexts=fresh(), executor="batch",
+    assert len(kernel_calls) == len(configs) * len(benchmarks)
+    assert serial.timings.batch_kernel_cells == len(kernel_calls)
+    assert serial.timings.batch_fallbacks == {}
+    reference = run_suite(
+        {label: config.replace(engine="reference")
+         for label, config in configs.items()},
+        benchmarks, iterations=ITERATIONS, contexts=_fresh(benchmarks),
     )
+    assert len(kernel_calls) == len(configs) * len(benchmarks)
     for name in benchmarks:
         for label in configs:
             assert dataclasses.asdict(
-                batch.stats(name, label)
-            ) == dataclasses.asdict(serial.stats(name, label))
+                serial.stats(name, label)
+            ) == dataclasses.asdict(reference.stats(name, label))
+
+
+def test_reference_configs_never_reach_the_kernel(kernel_calls):
+    configs = {
+        "base": MachineConfig.baseline(engine="reference"),
+        "dmp": MachineConfig.dmp(enhanced=True, engine="reference"),
+    }
+    result = run_suite(
+        configs, ("gzip",), iterations=ITERATIONS, contexts=_fresh(("gzip",))
+    )
+    assert kernel_calls == []
+    assert result.timings.batch_kernel_cells == 0
+    assert result.timings.batch_fallbacks == {}
+
+
+def test_paranoid_and_traced_cells_stay_on_python_engines(kernel_calls,
+                                                          tmp_path):
+    configs = {
+        "base": MachineConfig.baseline(),
+        "dmp": MachineConfig.dmp(enhanced=True),
+    }
+    with paranoid(True):
+        armed = run_suite(
+            configs, ("gzip",), iterations=ITERATIONS,
+            contexts=_fresh(("gzip",)),
+        )
+    assert kernel_calls == []
+    assert armed.timings.batch_kernel_cells == 0
+    assert armed.timings.batch_fallbacks == {
+        "oracle/watchdog instrumentation": len(configs)
+    }
+    assert all(
+        armed.stats("gzip", label).oracle_checks > 0 for label in configs
+    )
+    traced = run_suite(
+        configs, ("gzip",), iterations=ITERATIONS,
+        contexts=_fresh(("gzip",)), trace_dir=str(tmp_path),
+    )
+    assert kernel_calls == []
+    assert len(list(tmp_path.iterdir())) == len(configs)
+    plain = run_suite(
+        configs, ("gzip",), iterations=ITERATIONS, contexts=_fresh(("gzip",))
+    )
+    assert len(kernel_calls) == len(configs)
+    assert traced == plain
+
+
+def test_default_suite_grid_runs_entirely_on_the_kernel(kernel_calls):
+    """``repro suite``'s default configs over every benchmark: 60 cells
+    on the native kernel, no fallback."""
+    configs = {
+        name: CONFIG_FACTORIES[name]()
+        for name in ("base", "dhp", "dmp", "dmp-enhanced")
+    }
+    result = run_suite(
+        configs, BENCHMARK_NAMES, iterations=40,
+        contexts=_fresh(BENCHMARK_NAMES, 40),
+    )
+    assert len(BENCHMARK_NAMES) * len(configs) == 60
+    assert result.timings.batch_kernel_cells == 60
+    assert result.timings.batch_fallbacks == {}
+    assert len(kernel_calls) == 60
+    assert "60 cell(s) on the native kernel, 0 fast-engine fallback(s)" in (
+        result.timings.report()
+    )
 
 
 def test_trace_arenas_keyed_by_trace_and_warm_words():
     """One call holding two traces of one ``Program`` object, each with
-    and without its warm-up words: every (trace, warm words) pair needs
-    its own trace arena, and both traces share the program's arena.
-    Every cell must match the reference engine."""
+    and without its warm-up words: each trace needs its own trace arena,
+    each cell its own L2 warm-up, and both traces share the program's
+    arena.  Every cell must match the reference engine."""
     ctx = _context("parser")
     warm = ctx.workload.memory.warm_words()
     # A second trace of the same Program object: on zeroed memory it

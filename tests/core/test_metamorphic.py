@@ -9,7 +9,8 @@ episode ends in exactly one Table 1 exit case unless it restarts, and
 every retired instruction is fetched exactly once on the correct path.  A bug
 shared by all engines (a confidence update leaking into timing, a
 hint-table lookup with side effects, a record fetched twice) breaks
-these even though the engines still agree with each other.
+these even though the engines still agree with each other.  A perfect
+direction predictor, finally, must leave nothing to mispredict.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.processors import simulate
 from repro.fuzz import FuzzKnobs, draw_spec
-from repro.fuzz.harness import FuzzProgram
+from repro.fuzz.harness import FuzzProgram, mode_configs
 from repro.isa.encoding import HintTable
 from repro.uarch.config import MachineConfig
 
@@ -95,3 +96,40 @@ def test_exit_cases_and_fetch_are_conserved(seed):
             assert stats.fetched_correct == stats.retired_instructions, (
                 f"correct-path fetch differs from retirement: {where}"
             )
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_perfect_predictor_never_mispredicts(seed):
+    """A perfect direction predictor leaves nothing to mispredict or
+    flush, in every machine mode, and the baseline machine then never
+    fetches a wrong path.  Predicating modes still may: a cold JRS
+    counter flags a correctly predicted branch as low-confidence.  With
+    perfect confidence as well, dmp and dhp never open an episode and
+    never fetch a wrong path."""
+    ctx = FuzzProgram(draw_spec(seed, _KNOBS))
+    warm = ctx.workload.memory.warm_words()
+    for mode, config in mode_configs().items():
+        hints = ctx.hints_for(mode)
+        perfect = config.replace(predictor_kind="perfect")
+        variants = [("perfect predictor", perfect)]
+        if mode in ("dmp", "dmp-basic", "dhp"):
+            variants.append((
+                "perfect predictor and confidence",
+                perfect.replace(confidence_kind="perfect"),
+            ))
+        for engine in ENGINES:
+            for what, variant in variants:
+                stats = simulate(
+                    ctx.program, ctx.trace, variant.replace(engine=engine),
+                    hints=hints, benchmark=ctx.spec.name, warm_words=warm,
+                )
+                where = f"{mode} with {what} on {engine!r} (seed {seed})"
+                wrong = stats.fetched_wrong_cd + stats.fetched_wrong_ci
+                assert stats.mispredictions == 0, where
+                assert stats.pipeline_flushes == 0, where
+                if mode == "baseline":
+                    assert wrong == 0, where
+                if variant.confidence_kind == "perfect":
+                    assert stats.dpred_entries == 0, where
+                    assert wrong == 0, where

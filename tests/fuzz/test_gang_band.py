@@ -12,11 +12,8 @@ import pytest
 
 from repro.fuzz import FuzzKnobs, check_spec, draw_spec
 from repro.fuzz.harness import GANG_MODE, GANG_SIZINGS, FuzzProgram
+from repro.uarch.batch import BatchCell, run_batch
 from repro.uarch.config import MachineConfig
-
-np = pytest.importorskip("numpy")
-
-from repro.uarch.batch import BatchCell, run_batch  # noqa: E402
 
 #: Seeds probed for a program that earns diverge hints.  The generator
 #: is deterministic, so the first qualifying seed is stable across runs.

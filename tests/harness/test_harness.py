@@ -91,8 +91,14 @@ class TestRunSuite:
             configs, benchmarks=("parser", "gzip"), iterations=SMALL
         )
         t = result.timings
-        stages = t.build_seconds + t.profile_seconds + t.simulate_seconds
+        stages = (
+            t.build_seconds + t.trace_seconds + t.profile_seconds
+            + t.simulate_seconds
+        )
         assert stages <= t.wall_seconds * 1.02 + 0.005, t.report()
+        # The functional run has its own stage, apart from profiling.
+        assert t.trace_seconds > 0 and t.profile_seconds > 0, t.report()
+        assert "trace=" in t.report()
 
     def test_figure_config_sets(self):
         f7 = figure7_configs()
