@@ -28,7 +28,7 @@ Commands
 
 ``suite`` and ``figure`` accept ``--paranoid``: every simulation then
 runs with the oracle cross-checker and watchdog armed.  They also
-accept ``--jobs N`` (fan simulations out over N worker processes) and
+accept ``--jobs N`` (fan the benchmarks out over N worker processes) and
 ``--cache-dir PATH`` / ``--no-cache`` (persist traces, profiles, hint
 tables and finished stats across invocations; the ``REPRO_CACHE_DIR``
 environment variable supplies a default directory).  Parallel and
@@ -701,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arm the oracle cross-checker and watchdog "
                               "on every simulation")
     p_suite.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="fan simulations out over N worker processes "
+                         help="fan the benchmarks out over N worker processes "
                               "(results are bit-identical to --jobs 1)")
     p_suite.add_argument("--engine", default="",
                          choices=["", "fast", "reference", "batch"],
@@ -729,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the oracle cross-checker and watchdog "
                             "on every simulation")
     p_fig.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan simulations out over N worker processes")
+                       help="fan the benchmarks out over N worker processes")
     p_fig.add_argument("--engine", default="",
                        choices=["", "fast", "reference", "batch"],
                        help="simulation engine override; 'batch' runs "

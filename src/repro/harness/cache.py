@@ -69,6 +69,15 @@ class CacheCounters:
     def record_miss(self, kind: str) -> None:
         self.misses[kind] = self.misses.get(kind, 0) + 1
 
+    def absorb(self, other: "CacheCounters") -> None:
+        """Add another process's counts (a pool worker's)."""
+        for kind, count in other.hits.items():
+            self.hits[kind] = self.hits.get(kind, 0) + count
+        for kind, count in other.misses.items():
+            self.misses[kind] = self.misses.get(kind, 0) + count
+        self.stores += other.stores
+        self.corrupt_discarded += other.corrupt_discarded
+
     def summary(self) -> str:
         kinds = sorted(set(self.hits) | set(self.misses))
         parts = [

@@ -7,19 +7,20 @@ tables.  All of it is computed lazily and cached, so sweeping N machine
 configurations over one benchmark pays the (comparatively expensive)
 profiling cost once.
 
-At ``jobs=1``, :func:`run_suite` simulates each benchmark's cells in one
-call into the batch engine (:mod:`repro.uarch.batch`), whose native
-kernel runs every cell inside its envelope.  Two further layers sit on
+:func:`run_suite` simulates each benchmark's cells in one call into the
+batch engine (:mod:`repro.uarch.batch`), whose native kernel runs every
+cell inside its envelope.  Two further layers sit on
 top (docs/performance.md):
 
 * every artifact and every completed :class:`~repro.uarch.stats.SimStats`
   can be persisted to an :class:`~repro.harness.cache.ArtifactCache`,
   keyed by canonical fingerprints (never ``repr``), so repeated CLI
   invocations skip work they have already done; and
-* :func:`run_suite` accepts ``jobs=N`` to fan the
-  ``(benchmark, config)`` simulations out over a process pool
-  (:mod:`repro.harness.parallel`), merging results deterministically —
-  a parallel or cache-warm run is bit-identical to a serial cold run.
+* :func:`run_suite` accepts ``jobs=N`` to fan the benchmarks out over
+  a process pool (:mod:`repro.harness.parallel`), one worker running a
+  benchmark's front end and cells as the serial path would, merging
+  results deterministically — a parallel or cache-warm run is
+  bit-identical to a serial cold run.
 """
 
 from __future__ import annotations
@@ -304,14 +305,6 @@ class BenchmarkContext:
             self._wish_hints = table
         return self._wish_hints
 
-    def prepare(self, configs: Iterable[MachineConfig] = ()) -> None:
-        """Materialize every machine-independent artifact the given
-        configurations will need (used before fanning simulations out to
-        worker processes, so workers never duplicate profiling work)."""
-        _ = self.workload, self.trace, self.profile
-        for config in configs:
-            self.hints_for(config)
-
     # -- simulation ---------------------------------------------------------
 
     def hints_for(self, config: MachineConfig) -> Optional[HintTable]:
@@ -353,12 +346,15 @@ class BenchmarkContext:
                 return stats
         return None
 
-    def store_stats(self, config: MachineConfig, stats: SimStats) -> None:
-        """Adopt externally-computed stats (e.g. from a worker process)
-        into the memo and the on-disk cache."""
+    def store_stats(
+        self, config: MachineConfig, stats: SimStats, persist: bool = True
+    ) -> None:
+        """Adopt externally-computed stats into the memo and, unless
+        ``persist`` is false (a worker process has already written
+        them), the on-disk cache."""
         key = self.sim_key(config)
         self._sim_cache[key] = stats
-        if self._cache is not None:
+        if persist and self._cache is not None:
             self._cache.store_pickle("sim", f"{self.fingerprint}-{key}", stats)
 
     def _load_analysis(self) -> None:
@@ -402,6 +398,11 @@ class BenchmarkContext:
             stats = self.cached_stats(config)
             if stats is not None:
                 return stats
+        return self.simulate_uncached(config, tracer)
+
+    def simulate_uncached(self, config: MachineConfig, tracer=None) -> SimStats:
+        """Simulate without consulting the memo or the cache (the caller
+        has already looked); the result is stored in both."""
         hints = self.hints_for(config)  # timed as "profile" if first use
         trace = self.trace  # likewise; kept out of the "simulate" window
         warm = self.workload.memory.warm_words()
@@ -453,7 +454,8 @@ def figure9_configs() -> Dict[str, MachineConfig]:
 class SuiteTimings:
     """Per-stage wall-clock + cache accounting for one suite run, so
     speedups are measured rather than asserted (``repro suite
-    --timings``)."""
+    --timings``).  Stage seconds are summed across pool workers when
+    parallel, so together they can exceed ``wall_seconds``."""
 
     jobs: int = 1
     wall_seconds: float = 0.0
@@ -462,20 +464,34 @@ class SuiteTimings:
     trace_seconds: float = 0.0
     #: Profiling, diverge selection and hint tables.
     profile_seconds: float = 0.0
-    #: Aggregate simulation seconds (across workers when parallel, so it
-    #: can exceed ``wall_seconds``).
+    #: Timing simulation.
     simulate_seconds: float = 0.0
     simulations_run: int = 0
     sim_memo_hits: int = 0
     sim_cache_hits: int = 0
-    #: Serial executor only: cells that ran on the native kernel vs
-    #: cells that fell back to the fast engine, the latter grouped by
-    #: their ``run_batch`` fallback reason string.
+    #: Cells that ran on the native kernel vs cells that fell back to
+    #: the fast engine, the latter grouped by their ``run_batch``
+    #: fallback reason string.
     batch_kernel_cells: int = 0
     batch_fallbacks: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
     cache: Optional[CacheCounters] = None
+
+    def absorb(self, other: "SuiteTimings") -> None:
+        """Add another ledger's stage seconds and counts (a worker's)."""
+        self.build_seconds += other.build_seconds
+        self.trace_seconds += other.trace_seconds
+        self.profile_seconds += other.profile_seconds
+        self.simulate_seconds += other.simulate_seconds
+        self.simulations_run += other.simulations_run
+        self.sim_memo_hits += other.sim_memo_hits
+        self.sim_cache_hits += other.sim_cache_hits
+        self.batch_kernel_cells += other.batch_kernel_cells
+        for reason, count in other.batch_fallbacks.items():
+            self.batch_fallbacks[reason] = (
+                self.batch_fallbacks.get(reason, 0) + count
+            )
 
     def report(self) -> str:
         lines = [
@@ -605,108 +621,157 @@ def _cell_tracer(context: BenchmarkContext, label: str, trace_dir):
     )
 
 
-def _simulate_cell(
-    context: BenchmarkContext, label: str, config: MachineConfig,
-    trace_dir, verbose: bool,
-) -> SimStats:
-    """One (benchmark, config) cell through the context (memo/cache
-    aware), with optional event tracing."""
-    tracer = _cell_tracer(context, label, trace_dir)
-    try:
-        stats = context.simulate(config, tracer=tracer)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if verbose:
+def _resolve_cells(
+    context: BenchmarkContext, configs: Dict[str, MachineConfig], trace_dir
+) -> Tuple[Dict[str, SimStats], Dict[str, MachineConfig]]:
+    """Split one benchmark's cells into the stats the memo or the disk
+    cache already holds and the cells still to simulate (all of them
+    when traced: the event stream only exists if a simulator runs)."""
+    done: Dict[str, SimStats] = {}
+    pending: Dict[str, MachineConfig] = {}
+    for label, config in configs.items():
+        stats = None if trace_dir is not None else context.cached_stats(config)
+        if stats is not None:
+            done[label] = stats
+        else:
+            pending[label] = config
+    return done, pending
+
+
+def _simulate_pending(
+    context: BenchmarkContext,
+    pending: Dict[str, MachineConfig],
+    trace_dir,
+    timings: SuiteTimings,
+) -> Dict[str, SimStats]:
+    """Simulate the cells :func:`_resolve_cells` left, in this process.
+
+    The untraced ``engine="fast"``/``"batch"`` cells go to one
+    :func:`repro.uarch.batch.run_batch` call, so the benchmark's arenas
+    are built once for all its configs and freed when it returns.  Each
+    cell runs on the native kernel, or on the fast engine inside
+    ``run_batch`` when it is outside the kernel's envelope (hardened or
+    ``--paranoid`` runs, for one) — bit-identical either way.  Traced
+    cells (the event stream needs a live Python simulator) and
+    ``engine="reference"`` cells go through the context's simulator.
+    Labels whose effective configs are equal share one simulation; the
+    repeats count as memo hits.
+    """
+    from repro.uarch import batch
+
+    done: Dict[str, SimStats] = {}
+    #: Simulation key -> the labels sharing it, first one simulated.
+    shared: Dict[str, List[str]] = {}
+    cells: List = []
+    batched: List[Tuple[str, MachineConfig]] = []
+    warm = None
+    for label, config in pending.items():
+        if trace_dir is not None:
+            tracer = _cell_tracer(context, label, trace_dir)
+            try:
+                done[label] = context.simulate_uncached(config, tracer)
+            finally:
+                tracer.close()
+            continue
+        key = context.sim_key(config)
+        if key in shared:
+            shared[key].append(label)
+            continue
+        shared[key] = [label]
+        if config.engine == "reference":
+            done[label] = context.simulate_uncached(config)
+            continue
+        hints = context.hints_for(config)
+        trace = context.trace
+        if warm is None:
+            warm = context.workload.memory.warm_words()
+        context._load_analysis()
+        cells.append(batch.BatchCell(
+            context.program, trace, config.replace(engine="batch"),
+            hints=hints, benchmark=context.name, warm_words=warm,
+        ))
+        batched.append((label, config))
+    if cells:
+        reasons: Dict[str, int] = {}
+        t0 = time.perf_counter()
+        # Looked up at call time: the benchmark's traced run patches
+        # repro.uarch.batch.run_batch.
+        stats_list = batch.run_batch(cells, fallback_reasons=reasons)
+        context.stage_seconds["simulate"] += time.perf_counter() - t0
+        context.sims_run += len(cells)
+        context._store_analysis()
+        timings.batch_kernel_cells += len(cells) - sum(reasons.values())
+        for reason, count in reasons.items():
+            timings.batch_fallbacks[reason] = (
+                timings.batch_fallbacks.get(reason, 0) + count
+            )
+        for (label, config), stats in zip(batched, stats_list):
+            context.store_stats(config, stats)
+            done[label] = stats
+    for first, *repeats in shared.values():
+        for label in repeats:
+            done[label] = done[first]
+            context.sim_memo_hits += 1
+    return done
+
+
+def _print_cells(context: BenchmarkContext, cells: Dict[str, SimStats]) -> None:
+    for label, stats in cells.items():
         print(
             f"  {context.name:8s} {label:24s} IPC={stats.ipc:.3f} "
             f"flushes={stats.pipeline_flushes}"
         )
-    return stats
 
 
 def _execute_serial(
     run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
 ) -> None:
-    """In process, one benchmark at a time.
-
-    A benchmark's untraced ``engine="fast"``/``"batch"`` cells go to
-    one :func:`repro.uarch.batch.run_batch` call, so its arenas are
-    built once for all its configs and freed before the next benchmark.
-    Each cell runs on the native kernel, or on the fast engine inside
-    ``run_batch`` when it is outside the kernel's envelope (hardened or
-    ``--paranoid`` runs, for one) — bit-identical either way.  Traced
-    cells (the event stream needs a live Python simulator) and
-    ``engine="reference"`` cells go through ``context.simulate``.
-    Memoized and disk-cached cells are served without simulating.
-    """
-    from repro.uarch import batch
-
+    """In process, one benchmark at a time: memoized and disk-cached
+    cells are served without simulating, the rest go through
+    :func:`_simulate_pending`."""
+    before = [_context_snapshot(context) for context in run_contexts]
     for context in run_contexts:
-        done: Dict[str, SimStats] = {}
-        cells: List = []
-        pending: List[Tuple[str, MachineConfig]] = []
-        for label, config in configs.items():
-            if trace_dir is not None or config.engine == "reference":
-                done[label] = _simulate_cell(
-                    context, label, config, trace_dir, verbose
-                )
-                continue
-            stats = context.cached_stats(config)
-            if stats is not None:
-                done[label] = stats
-                continue
-            hints = context.hints_for(config)
-            trace = context.trace
-            context._load_analysis()
-            cells.append(batch.BatchCell(
-                context.program, trace, config.replace(engine="batch"),
-                hints=hints, benchmark=context.name,
-                warm_words=context.workload.memory.warm_words(),
-            ))
-            pending.append((label, config))
-        if cells:
-            reasons: Dict[str, int] = {}
-            t0 = time.perf_counter()
-            # Looked up at call time: the benchmark's traced run patches
-            # repro.uarch.batch.run_batch.
-            stats_list = batch.run_batch(cells, fallback_reasons=reasons)
-            context.stage_seconds["simulate"] += time.perf_counter() - t0
-            context.sims_run += len(cells)
-            context._store_analysis()
-            timings.batch_kernel_cells += len(cells) - sum(reasons.values())
-            for reason, count in reasons.items():
-                timings.batch_fallbacks[reason] = (
-                    timings.batch_fallbacks.get(reason, 0) + count
-                )
-            for (label, config), stats in zip(pending, stats_list):
-                context.store_stats(config, stats)
-                done[label] = stats
-                if verbose:
-                    print(
-                        f"  {context.name:8s} {label:24s} "
-                        f"IPC={stats.ipc:.3f} "
-                        f"flushes={stats.pipeline_flushes}"
-                    )
+        done, pending = _resolve_cells(context, configs, trace_dir)
+        fresh = _simulate_pending(context, pending, trace_dir, timings)
+        if verbose:
+            _print_cells(context, fresh)
+        done.update(fresh)
         for label in configs:
             result.add(context.name, label, done[label])
+    _accumulate_deltas(timings, run_contexts, before)
 
 
 def _execute_pool(
     run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
 ) -> None:
-    """Fan the cells out over a process pool (repro.harness.parallel)."""
-    from repro.harness.parallel import run_simulations_parallel
+    """Fan whole benchmarks out over a process pool: each worker runs
+    one benchmark's front end and pending cells as the serial executor
+    would (repro.harness.parallel)."""
+    from repro.harness.parallel import run_benchmarks_parallel
 
-    stats_map = run_simulations_parallel(
-        run_contexts, configs, jobs=max(jobs, 2), verbose=verbose,
-        trace_dir=trace_dir,
+    before = [_context_snapshot(context) for context in run_contexts]
+    resolved = [
+        _resolve_cells(context, configs, trace_dir)
+        for context in run_contexts
+    ]
+    fresh = run_benchmarks_parallel(
+        [
+            (context, pending)
+            for context, (_, pending) in zip(run_contexts, resolved)
+            if pending
+        ],
+        jobs=max(jobs, 2), trace_dir=trace_dir, timings=timings,
     )
-    timings.simulate_seconds += stats_map.worker_seconds
-    timings.simulations_run += stats_map.worker_runs
-    for context in run_contexts:
-        for label, config in configs.items():
-            result.add(context.name, label, stats_map[(context.name, label)])
+    _accumulate_deltas(timings, run_contexts, before)
+    for context, (done, pending) in zip(run_contexts, resolved):
+        cells = fresh.get(context.name, {})
+        for label, stats in cells.items():
+            context.store_stats(pending[label], stats, persist=False)
+        if verbose:
+            _print_cells(context, cells)
+        done.update(cells)
+        for label in configs:
+            result.add(context.name, label, done[label])
 
 
 #: Pluggable suite executors: how the (benchmark, config) cells of one
@@ -751,17 +816,18 @@ def run_suite(
     returning stats for different parameters.
 
     The cells are dispatched through a pluggable *executor*
-    (``SUITE_EXECUTORS``): ``"serial"`` runs in process, one
-    :func:`repro.uarch.batch.run_batch` call per benchmark holding its
-    ``engine="fast"``/``"batch"`` cells — each on the native kernel, or
-    on the fast engine when outside the kernel's envelope — while
-    ``engine="reference"`` and traced cells go through
-    :meth:`BenchmarkContext.simulate`; ``"pool"`` fans the cells out
-    over a process pool, each through ``BenchmarkContext.simulate``.
-    When ``executor`` is not given it is ``"pool"`` for ``jobs > 1``,
-    else ``"serial"``.  Both executors return bit-identical results;
-    ``result.timings`` counts the serial executor's kernel cells and
-    fallbacks (by reason).
+    (``SUITE_EXECUTORS``).  Both serve memoized and disk-cached cells
+    without simulating and run the rest of a benchmark the same way:
+    its ``engine="fast"``/``"batch"`` cells in one
+    :func:`repro.uarch.batch.run_batch` call — each on the native
+    kernel, or on the fast engine when outside the kernel's envelope —
+    and its ``engine="reference"`` and traced cells through the
+    context's simulator.  ``"serial"`` does so in process, one
+    benchmark at a time; ``"pool"`` hands each benchmark, front end
+    included, to a worker process.  When ``executor`` is not given it
+    is ``"pool"`` for ``jobs > 1``, else ``"serial"``.  Both executors
+    return bit-identical results; ``result.timings`` counts the kernel
+    cells and the fallbacks (by reason).
 
     ``cache`` (an :class:`ArtifactCache` or directory path) persists
     artifacts and stats across invocations.
@@ -799,7 +865,6 @@ def run_suite(
             context = BenchmarkContext(name, iterations, seed, cache=cache)
         run_contexts.append(context)
 
-    before = [_context_snapshot(context) for context in run_contexts]
     timings = SuiteTimings(jobs=jobs)
 
     execute = SUITE_EXECUTORS[_resolve_executor(executor, jobs)]
@@ -808,7 +873,6 @@ def run_suite(
         trace_dir=trace_dir, result=result, timings=timings,
     )
 
-    _accumulate_deltas(timings, run_contexts, before)
     timings.wall_seconds = time.perf_counter() - wall_start
     timings.cache = cache.counters if cache is not None else None
     result.timings = timings

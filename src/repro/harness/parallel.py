@@ -1,173 +1,110 @@
-"""Process-pool fan-out of ``(benchmark, config)`` simulations.
+"""Process-pool fan-out of whole benchmarks.
 
-The timing simulations dominate a suite's wall clock and are
-embarrassingly parallel once the machine-independent artifacts exist.
-:func:`run_simulations_parallel` therefore:
+On the native kernel a benchmark's timing simulations cost less than
+its machine-independent front end (workload build, functional trace,
+profiling, hint tables), so the unit of parallel work is one benchmark,
+not one ``(benchmark, config)`` cell.  :func:`run_benchmarks_parallel`
+therefore:
 
-1. materializes every artifact (trace, profile, hint tables) in the
-   parent — through the on-disk cache when one is attached — so workers
-   never duplicate profiling work;
-2. resolves cells already satisfied by the in-memory memo or the
-   persistent cache;
-3. ships the prepared contexts to each worker once (pickled via the
-   pool initializer, so it works under ``fork``, ``forkserver`` and
-   ``spawn`` start methods alike) and fans the remaining cells out;
-4. merges results deterministically — insertion order is the caller's
-   ``benchmarks x configs`` order, never completion order — and stores
-   fresh stats back into the parent's memo and cache.
+1. takes the cells the parent could not serve from its memo or the
+   persistent cache, grouped by benchmark;
+2. ships each benchmark's context with its pending cells to one worker
+   as the task itself (pickled, so it works under ``fork``,
+   ``forkserver`` and ``spawn`` start methods alike);
+3. lets the worker build or cache-load the front end and simulate the
+   cells exactly as the serial executor does — one
+   :func:`repro.uarch.batch.run_batch` call for the untraced
+   ``fast``/``batch`` cells, the context's simulator for traced and
+   ``engine="reference"`` cells — writing new artifacts and stats to
+   the shared cache directory when one is attached;
+4. returns the fresh stats and the worker's stage, kernel and cache
+   accounting, which the parent merges.  The caller adds results in its
+   ``benchmarks x configs`` order, never completion order.
 
-Workers inherit the process-wide paranoid flag, so the PR-1 oracle
-cross-checker and watchdog stay armed inside the pool exactly as they
-would serially; simulation is deterministic, so a parallel run is
-bit-identical to a serial one (asserted by the test suite).
+The parent's contexts receive the fresh stats (memo), not the worker's
+artifacts: a later run over the same contexts loads those from the
+cache, or rebuilds them in its own workers.  Workers inherit the
+process-wide paranoid flag, so the oracle cross-checker and watchdog
+stay armed inside the pool exactly as they would serially; simulation
+is deterministic, so a parallel run is bit-identical to a serial one
+(asserted by the test suite).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 from repro.validation.runtime import paranoid_enabled, set_paranoid
 
-#: Per-worker context table, installed by :func:`_init_worker`.
-_WORKER_CONTEXTS: Dict[str, "BenchmarkContext"] = {}
 
-
-def _init_worker(payload: bytes, paranoid_flag: bool) -> None:
-    global _WORKER_CONTEXTS
-    _WORKER_CONTEXTS = pickle.loads(payload)
+def _init_worker(paranoid_flag: bool) -> None:
     set_paranoid(paranoid_flag)
 
 
-def _run_cell(task: Tuple[str, str, MachineConfig, str]):
-    """Simulate one ``(benchmark, label)`` cell inside a worker.
-
-    When the cell carries a trace path, the worker streams the cell's
-    event trace there itself — trace files are per-cell, so the merge
-    back in the parent needs no event shuffling and stays deterministic
-    (the parent's caller-order iteration; docs/observability.md)."""
-    benchmark, label, config, trace_file = task
-    context = _WORKER_CONTEXTS[benchmark]
-    tracer = None
-    if trace_file is not None:
-        from repro.obs.events import JsonlTracer
-
-        tracer = JsonlTracer(
-            trace_file,
-            meta={
-                "benchmark": benchmark,
-                "config": label,
-                "iterations": context.iterations,
-                "seed": context.seed,
-            },
-        )
-    start = time.perf_counter()
-    try:
-        stats = context.simulate(config, tracer=tracer)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    return benchmark, label, stats, time.perf_counter() - start
-
-
-class ParallelStats:
-    """Stats for every requested cell, plus worker-side accounting."""
-
-    def __init__(self) -> None:
-        self._cells: Dict[Tuple[str, str], SimStats] = {}
-        #: Aggregate simulation seconds across all workers.
-        self.worker_seconds: float = 0.0
-        #: Simulations actually executed in workers (cache hits excluded).
-        self.worker_runs: int = 0
-
-    def __getitem__(self, cell: Tuple[str, str]) -> SimStats:
-        return self._cells[cell]
-
-    def __setitem__(self, cell: Tuple[str, str], stats: SimStats) -> None:
-        self._cells[cell] = stats
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-
-def run_simulations_parallel(
-    contexts: List["BenchmarkContext"],
-    configs: Dict[str, MachineConfig],
-    jobs: int,
-    verbose: bool = False,
-    trace_dir: str = None,
-) -> ParallelStats:
-    """Fill every ``(benchmark, label)`` cell, fanning uncached cells
-    over a ``multiprocessing`` pool of ``jobs`` workers.
-
-    With ``trace_dir`` set, every cell runs in a worker and streams its
-    own JSONL event trace — cached stats cannot produce the event
-    stream, so stage 1's cache resolution is skipped entirely."""
-    out = ParallelStats()
-    by_name = {context.name: context for context in contexts}
-    if len(by_name) != len(contexts):
-        raise ReproError("duplicate benchmark contexts in parallel run")
-    if trace_dir is not None:
-        from repro.obs.runtime import trace_path
-
-    # Stage 1: resolve cells the memo / persistent cache already has
-    # (no artifacts needed to compute the keys — a fully cache-warm run
-    # skips profiling entirely).  Traced runs resolve nothing here.
-    pending: List[Tuple[str, str, MachineConfig, str]] = []
-    for context in contexts:
-        for label, config in configs.items():
-            stats = None if trace_dir is not None else (
-                context.cached_stats(config)
-            )
-            if stats is not None:
-                out[(context.name, label)] = stats
-            else:
-                trace_file = (
-                    trace_path(trace_dir, context.name, label)
-                    if trace_dir is not None
-                    else None
-                )
-                pending.append((context.name, label, config, trace_file))
-
-    if not pending:
-        return out
-
-    # Stage 2: machine-independent artifacts for the contexts that still
-    # have work, built (or cache-loaded) once in the parent.
-    config_list = list(configs.values())
-    pending_names = {task[0] for task in pending}
-    for context in contexts:
-        if context.name in pending_names:
-            context.prepare(config_list)
-
-    # Stage 3: fan the rest out.  Contexts travel once per worker via
-    # the initializer; BenchmarkContext.__getstate__ drops the cache
-    # handle, so only the parent ever touches the cache directory.
-    payload = pickle.dumps(
-        {name: by_name[name] for name in pending_names}, protocol=4
+def _run_benchmark(task):
+    """One benchmark's pending cells inside a worker; returns the fresh
+    stats with the worker's accounting."""
+    from repro.harness.cache import ArtifactCache
+    from repro.harness.experiment import (
+        SuiteTimings,
+        _accumulate_deltas,
+        _context_snapshot,
+        _simulate_pending,
     )
-    workers = min(jobs, len(pending))
+
+    context, pending, trace_dir, cache_root = task
+    if cache_root is not None:
+        context.attach_cache(ArtifactCache(cache_root))
+    timings = SuiteTimings()
+    before = _context_snapshot(context)
+    fresh = _simulate_pending(context, pending, trace_dir, timings)
+    _accumulate_deltas(timings, [context], [before])
+    counters = context.cache.counters if context.cache is not None else None
+    return context.name, fresh, timings, counters
+
+
+def run_benchmarks_parallel(
+    work: List[Tuple["BenchmarkContext", Dict[str, MachineConfig]]],
+    jobs: int,
+    trace_dir: Optional[str],
+    timings: "SuiteTimings",
+) -> Dict[str, Dict[str, SimStats]]:
+    """Simulate each ``(context, pending cells)`` pair of ``work`` in a
+    ``multiprocessing`` pool of up to ``jobs`` workers, one benchmark
+    per task.
+
+    Returns ``{benchmark: {label: stats}}``.  The workers' stage
+    seconds, simulation counts and kernel/fallback counts are added to
+    ``timings`` (aggregated, so stage seconds can exceed the wall
+    clock); their cache counters are added to each context's cache."""
+    by_name = {context.name: context for context, _ in work}
+    if len(by_name) != len(work):
+        raise ReproError("duplicate benchmark contexts in parallel run")
+    out: Dict[str, Dict[str, SimStats]] = {}
+    if not work:
+        return out
+    tasks = [
+        (
+            context, pending, trace_dir,
+            str(context.cache.root) if context.cache is not None else None,
+        )
+        for context, pending in work
+    ]
     with multiprocessing.Pool(
-        processes=workers,
+        processes=min(jobs, len(tasks)),
         initializer=_init_worker,
-        initargs=(payload, paranoid_enabled()),
+        initargs=(paranoid_enabled(),),
     ) as pool:
-        for benchmark, label, stats, elapsed in pool.imap_unordered(
-            _run_cell, pending, chunksize=1
+        for name, fresh, worker_timings, counters in pool.imap_unordered(
+            _run_benchmark, tasks, chunksize=1
         ):
-            out[(benchmark, label)] = stats
-            out.worker_seconds += elapsed
-            out.worker_runs += 1
-            # Stage 4 (incremental): adopt into the parent memo + cache.
-            by_name[benchmark].store_stats(configs[label], stats)
-            if verbose:
-                print(
-                    f"  {benchmark:8s} {label:24s} IPC={stats.ipc:.3f} "
-                    f"flushes={stats.pipeline_flushes}"
-                )
+            out[name] = fresh
+            timings.absorb(worker_timings)
+            cache = by_name[name].cache
+            if counters is not None and cache is not None:
+                cache.counters.absorb(counters)
     return out

@@ -334,6 +334,29 @@ def test_run_suite_serial_executor_matches_reference(kernel_calls):
             ) == dataclasses.asdict(reference.stats(name, label))
 
 
+def test_equal_configs_under_two_labels_share_one_simulation(kernel_calls):
+    """Labels whose effective configs are equal are simulated once; the
+    repeat counts as a memo hit, in both executors."""
+    configs = {
+        "dmp": MachineConfig.dmp(),
+        "dmp-again": MachineConfig.dmp(),
+        "ref": MachineConfig.baseline(engine="reference"),
+        "ref-again": MachineConfig.baseline(engine="reference"),
+    }
+    for executor in ("serial", "pool"):
+        result = run_suite(
+            configs, ("gzip",), iterations=ITERATIONS,
+            contexts=_fresh(("gzip",)), executor=executor,
+        )
+        assert result.timings.simulations_run == 2, executor
+        assert result.timings.sim_memo_hits == 2, executor
+        assert result.timings.batch_kernel_cells == 1, executor
+        assert result.stats("gzip", "dmp") is result.stats("gzip", "dmp-again")
+        assert result.stats("gzip", "ref") is result.stats("gzip", "ref-again")
+    # The spy sees the in-process executor's kernel calls only.
+    assert len(kernel_calls) == 1
+
+
 def test_reference_configs_never_reach_the_kernel(kernel_calls):
     configs = {
         "base": MachineConfig.baseline(engine="reference"),

@@ -46,6 +46,11 @@ class TestParallelEqualsSerial:
         assert par == serial_cold
         assert par.timings.jobs == 4
         assert par.timings.simulations_run == len(BENCHMARKS) * 2
+        # Workers run each benchmark as the serial executor does: its
+        # cells on the native kernel, none on the fast-engine fallback.
+        assert par.timings.batch_kernel_cells == len(BENCHMARKS) * 2
+        assert par.timings.batch_fallbacks == {}
+        assert par.timings.trace_seconds > 0
 
     def test_parallel_verbose_and_single_pending(self, serial_cold, capsys):
         # Warm memo via shared contexts: only some cells go to the pool.
@@ -116,6 +121,28 @@ class TestPersistentCache:
         )
         assert warm == serial_cold
         assert warm.timings.simulations_run == 0
+
+    def test_parallel_cold_run_populates_cache(self, serial_cold, tmp_path):
+        """Workers build the front end and write artifacts and stats to
+        the shared directory; their cache counters reach the parent."""
+        cold_cache = ArtifactCache(tmp_path)
+        cold = run_suite(
+            small_configs(), BENCHMARKS, iterations=SMALL, jobs=2,
+            cache=cold_cache,
+        )
+        assert cold == serial_cold
+        assert cold_cache.counters.misses["trace"] == len(BENCHMARKS)
+        assert cold_cache.counters.stores > len(BENCHMARKS) * 2
+        for kind in ("trace", "profile", "hints-dmp", "sim"):
+            assert list((tmp_path / kind).glob("*.bin")), kind
+
+        warm_cache = ArtifactCache(tmp_path)
+        warm = run_suite(
+            small_configs(), BENCHMARKS, iterations=SMALL, cache=warm_cache
+        )
+        assert warm == serial_cold
+        assert warm.timings.simulations_run == 0
+        assert warm_cache.counters.total_misses == 0
 
     def test_corrupt_sim_entry_recomputed(self, serial_cold, tmp_path):
         run_suite(
